@@ -13,7 +13,6 @@ from .probes import BitState, CounterSpec, ProbeLedger, UsageError
 
 
 def _next_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
-    bits = state.bits
     parity = 0
     low_one = -1
     for j in range(n):
@@ -22,17 +21,16 @@ def _next_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
         if v and low_one < 0:
             low_one = j
     if parity == 0:
-        ledger.write(state, off, bits[off] ^ 1)
+        ledger.write(state, off, ledger.read(state, off) ^ 1)
     elif low_one == n - 1:
         # state 100...0 wraps to all zeros
         ledger.write(state, off + n - 1, 0)
     else:
         pos = off + low_one + 1
-        ledger.write(state, pos, bits[pos] ^ 1)
+        ledger.write(state, pos, ledger.read(state, pos) ^ 1)
 
 
 def _prev_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
-    bits = state.bits
     parity = 0
     low_one = -1
     for j in range(n):
@@ -41,13 +39,13 @@ def _prev_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
         if v and low_one < 0:
             low_one = j
     if parity == 1:
-        ledger.write(state, off, bits[off] ^ 1)
+        ledger.write(state, off, ledger.read(state, off) ^ 1)
     elif low_one < 0:
         # all zeros wraps back to 100...0
         ledger.write(state, off + n - 1, 1)
     else:
         pos = off + low_one + 1
-        ledger.write(state, pos, bits[pos] ^ 1)
+        ledger.write(state, pos, ledger.read(state, pos) ^ 1)
 
 
 def _rank_range(state: BitState, off: int, n: int) -> int:

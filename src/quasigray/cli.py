@@ -117,7 +117,7 @@ def _selector_kwargs(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _cap(args: argparse.Namespace) -> int:
-    if getattr(args, "cap", None):
+    if getattr(args, "cap", None) is not None:
         if args.cap < 1:
             raise UsageError(f"--cap must be >= 1, got {args.cap}")
         return args.cap

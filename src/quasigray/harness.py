@@ -66,6 +66,57 @@ class CycleReport:
     step_reads: array
     step_writes: array
     step_hamming: array
+    # steps that ran the counter's step function; the rest walked the tree
+    interpreted_steps: int
+
+
+def _graft(
+    tree: array,
+    leaves: list,
+    leaf_ids: dict,
+    snap: int,
+    ledger: ProbeLedger,
+    bits: list,
+    dim: int,
+) -> None:
+    """Add the read path of the step the ledger just charged, taken from
+    state ``snap`` (``bits`` is the state after it), below the tree node
+    where its walk fell off.
+
+    The path tests the positions the walk already tested, then the step's
+    remaining charged reads in position order. A state that reaches the new
+    leaf therefore agrees with ``snap`` on every bit the step read, and the
+    step does the same to it. A path that tests all ``dim`` bits pins one
+    state, which cannot recur before the cycle closes, so it is not added.
+    """
+    walked = set()
+    slot = -1
+    node = 0
+    while tree:
+        pos = tree[node]
+        walked.add(pos)
+        slot = node + 1 + ((snap >> pos) & 1)
+        node = tree[slot]
+        if not node:
+            break
+    rest = sorted(ledger.read_set.difference(walked))
+    if not 0 < len(walked) + len(rest) < dim:
+        return
+    written = set_mask = 0
+    for p in ledger.write_set:
+        written |= 1 << p
+        set_mask |= bits[p] << p
+    leaf = (~written, set_mask, len(ledger.read_set), len(ledger.write_set))
+    for pos in rest:
+        node = len(tree)
+        if slot >= 0:
+            tree[slot] = node
+        tree.extend((pos, 0, 0))
+        slot = node + 1 + ((snap >> pos) & 1)
+    i = leaf_ids.setdefault(leaf, len(leaves))
+    if i == len(leaves):
+        leaves.append(leaf)
+    tree[slot] = ~i
 
 
 def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleReport:
@@ -74,6 +125,14 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     A repeated non-initial state means the trajectory can never close
     (steps are deterministic), so the run stops early with
     ``closed = distinct = False``.
+
+    The run grows a decision tree over the state's bits from the steps it
+    interprets: a node is ``(position, child0, child1)`` in a flat array, a
+    child is 0 while unexplored, a node offset, or ``~i`` for leaf ``i``,
+    which holds the step's keep and set masks and its read and write
+    counts. A step whose walk ends at a leaf applies it; any other step
+    runs the counter under the ledger and grafts its read path. The tree
+    lives only as long as this call.
     """
     if cap is None:
         cap = DEFAULT_CYCLE_CAP
@@ -83,6 +142,10 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     state = counter.fresh_state()
     ledger = ProbeLedger()
     advance = counter.advance
+    open_step = ledger.open_step
+    close_step = ledger.close_step
+    read_set = ledger.read_set
+    write_set = ledger.write_set
 
     masks = [1 << i for i in range(dim)]
     snap0 = state.to_int()
@@ -98,26 +161,55 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     step_reads = array("H")
     step_writes = array("H")
     step_hamming = array("H")
+    append_reads = step_reads.append
+    append_writes = step_writes.append
+    append_hamming = step_hamming.append
     max_hamming = 0
     closed = False
     distinct = True
     steps = 0
     prev = snap0
 
+    tree = array("i")
+    leaves: list = []
+    leaf_ids: Dict[tuple, int] = {}
+    hit_reads = hit_writes = 0
+    stale = False  # the bit list lags the snapshot after a tree step
+
+    child = 0  # only a walk assigns it, so it stays 0 while the tree is empty
     bits = state.bits
     while steps < cap:
-        ledger.open_step()
-        advance(state, ledger)
-        for p in ledger.write_set:
-            if bits[p]:
-                snap |= masks[p]
-            else:
-                snap &= ~masks[p]
-        r, w = ledger.close_step()
+        if tree:
+            node = 0
+            while True:
+                child = tree[node + 1 + ((snap >> tree[node]) & 1)]
+                if child <= 0:
+                    break
+                node = child
+            if stale and not child:
+                bits[:] = map(int, reversed(f"{snap:0{dim}b}"))
+                stale = False
+        if child < 0:
+            keep, set_mask, r, w = leaves[~child]
+            snap = snap & keep | set_mask
+            hit_reads += r
+            hit_writes += w
+            stale = True
+        else:
+            open_step()
+            advance(state, ledger)
+            for p in write_set:
+                if bits[p]:
+                    snap |= masks[p]
+                else:
+                    snap &= ~masks[p]
+            if len(read_set) < dim:
+                _graft(tree, leaves, leaf_ids, prev, ledger, bits, dim)
+            r, w = close_step()
         h = (prev ^ snap).bit_count()
-        step_reads.append(r)
-        step_writes.append(w)
-        step_hamming.append(h)
+        append_reads(r)
+        append_writes(w)
+        append_hamming(h)
         if h > max_hamming:
             max_hamming = h
         steps += 1
@@ -138,6 +230,8 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
             seen_set.add(snap)
         prev = snap
 
+    total_reads = ledger.total_reads + hit_reads
+    total_writes = ledger.total_writes + hit_writes
     last_state = BitState.from_int(prev, dim).to_text() if closed else None
     return CycleReport(
         counter=counter.name,
@@ -147,17 +241,19 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
         closed=closed,
         distinct=distinct,
         space_efficiency=Fraction(steps, 1 << dim),
-        avg_reads=Fraction(ledger.total_reads, steps),
+        avg_reads=Fraction(total_reads, steps),
+        # every leaf was first an interpreted step, so the ledger saw the maxima
         worst_reads=ledger.max_reads,
-        avg_writes=Fraction(ledger.total_writes, steps),
+        avg_writes=Fraction(total_writes, steps),
         worst_writes=ledger.max_writes,
         max_hamming=max_hamming,
-        total_reads=ledger.total_reads,
-        total_writes=ledger.total_writes,
+        total_reads=total_reads,
+        total_writes=total_writes,
         last_state=last_state,
         step_reads=step_reads,
         step_writes=step_writes,
         step_hamming=step_hamming,
+        interpreted_steps=ledger.steps,
     )
 
 

@@ -61,8 +61,10 @@ def compare_with_log2(value: Fraction, arg: int) -> int:
     """Exact sign of ``value - log2(arg)``: -1, 0 or +1.
 
     For arg a power of two the comparison is direct. Otherwise log2(arg) is
-    irrational, so equality is impossible and the grid refinement below
-    always separates the two.
+    irrational, so equality is impossible: the grid rounds below separate
+    any value that is not very close to it, and a round at k = den decides
+    every value, because both grid points are then num itself and
+    ``2**num`` never equals ``arg**den``.
     """
     if arg < 1:
         raise UsageError(f"log2 argument must be >= 1, got {arg}")
@@ -73,15 +75,16 @@ def compare_with_log2(value: Fraction, arg: int) -> int:
         return -1  # non-power arg is >= 3, so log2(arg) > 1
     num, den = value.numerator, value.denominator
     k = 1
-    while k <= (1 << 24):
+    while True:
+        k = min(k, den)
+        power = arg**k
         ceil_a = -((-num * k) // den)
-        if (1 << ceil_a) <= arg**k:  # ceil_a/k <= log2(arg), so value <= it too
+        if (1 << ceil_a) <= power:  # ceil_a/k <= log2(arg), so value <= it too
             return -1
         floor_b = (num * k) // den
-        if (1 << floor_b) >= arg**k:  # floor_b/k >= log2(arg), so value >= it
+        if (1 << floor_b) >= power:  # floor_b/k >= log2(arg), so value >= it
             return 1
         k <<= 6
-    raise RuntimeError(f"could not separate {value} from log2({arg})")
 
 
 def fraction_le_log_linear(

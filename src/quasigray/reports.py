@@ -3,8 +3,6 @@ table that reproduces the documented bound claims at desk scale."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -55,14 +53,21 @@ def _cell(value: object) -> str:
     return str(value)
 
 
+def _csv_field(text: str) -> str:
+    """Minimal CSV quoting: a field holding a comma, a quote or a line break
+    is quoted, with embedded quotes doubled."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def csv_text(rows: Sequence[Dict[str, object]], columns: Optional[List[str]] = None) -> str:
     columns = columns or CSV_COLUMNS
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row.get(col, "")) for col in columns])
-    return buffer.getvalue()
+    # a line that is one empty field would have to be written as ""
+    if len(columns) < 2:
+        raise UsageError(f"csv_text needs at least two columns, got {len(columns)}")
+    lines = [columns] + [[_cell(row.get(col, "")) for col in columns] for row in rows]
+    return "".join(",".join(map(_csv_field, line)) + "\n" for line in lines)
 
 
 def json_text(payload: object) -> str:

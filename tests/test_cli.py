@@ -67,6 +67,18 @@ def test_cycle_cap_flag_warns_when_unclosed(capsys):
     assert "did not close" in captured.err
 
 
+def test_cap_zero_is_rejected(monkeypatch, capsys):
+    # --cap 0 must not fall back to the environment or the default cap
+    monkeypatch.setenv("QUASIGRAY_CYCLE_CAP", "5")
+    for verb in (
+        ["cycle", "--counter", "rpgc", "--dim", "4"],
+        ["bench", "--counter", "rpgc", "--dims", "2"],
+        ["table1"],
+    ):
+        assert run_cli([*verb, "--cap", "0"]) == 2
+        assert "--cap must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_env_cap_override(monkeypatch, capsys):
     monkeypatch.setenv("QUASIGRAY_CYCLE_CAP", "5")
     assert run_cli(["cycle", "--counter", "rpgc", "--dim", "4"]) == 0

@@ -1,4 +1,10 @@
+import csv
+import io
+import json
+import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +23,8 @@ from quasigray import (
 )
 from quasigray.harness import cycle_cap_from_env, decimal_str
 from quasigray.reports import CSV_COLUMNS, csv_text, json_text, metrics_row
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def test_enumerate_small_cycles(cycle_report):
@@ -162,6 +170,29 @@ def test_csv_schema_and_rendering(cycle_report):
     assert cells[CSV_COLUMNS.index("avg_reads")] == "1.75"
 
 
+def _csv_writer_text(lines):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(lines)
+    return buffer.getvalue()
+
+
+def test_csv_text_matches_csv_writer():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    texts = [entry["csv"] for entry in golden["configs"].values()]
+    texts.append(golden["table1"]["csv"])
+    assert any('"inner=rpgc;layers=' in text for text in texts)
+    for text in texts:
+        header, *lines = csv.reader(io.StringIO(text))
+        rows = [dict(zip(header, line)) for line in lines]
+        assert csv_text(rows, header) == text == _csv_writer_text([header, *lines])
+    odd = [{"counter": 'say "hi"', "params": "a\nb"}, {}]
+    cells = [[str(row.get(col, "")) for col in CSV_COLUMNS] for row in odd]
+    assert csv_text(odd) == _csv_writer_text([CSV_COLUMNS, *cells])
+    # one empty field alone on a line would need quoting; no line is one field
+    with pytest.raises(UsageError):
+        csv_text([{}], ["counter"])
+
+
 def test_metrics_row_tolerates_unclosed_reports():
     row = metrics_row(enumerate_cycle(make_counter("rpgc", dim=4), cap=5))
     assert row["closed"] is False
@@ -200,3 +231,159 @@ def test_cycle_cap_env_override(monkeypatch):
         cycle_cap_from_env()
     monkeypatch.delenv("QUASIGRAY_CYCLE_CAP")
     assert cycle_cap_from_env(123) == 123
+
+
+# the configurations of the benchmark's verify-sweep grid
+SWEEP_GRID = (
+    [(c, dict(dim=d)) for c in ("binary", "brgc", "rpgc") for d in range(2, 13)]
+    + [(c, dict(n=n)) for c in ("lazy", "spin") for n in (2, 4, 8)]
+    + [
+        (name, dict(n=n, g=g, **enc))
+        for n in (2, 4, 8)
+        for g in ((1, 2, 3) if n < 8 else (1,))
+        for name, enc in (
+            ("doublespin", {}),
+            ("wine", dict(encoding="brgc")),
+            ("wine", dict(encoding="rpgc")),
+        )
+    ]
+    + [
+        ("composite", dict(layers=(6, 3))),
+        ("composite", dict(layers=(7, 3, 2))),
+        ("composite", dict(layers=(4, 4), inner="brgc")),
+        ("composite", dict(layers=(2, 3, 3, 4))),
+    ]
+)
+SPACE_OPTIMAL = ("binary", "brgc", "rpgc", "composite")
+
+
+def _grid_id(config):
+    name, kw = config
+    return name + "-" + "-".join(f"{k}={v}" for k, v in sorted(kw.items()))
+
+
+def _start_states(name, counter):
+    """Three start states for a space-optimal counter, the initial one else."""
+    if name not in SPACE_OPTIMAL:
+        return [counter]
+    rng = random.Random(counter.dim)
+    values = [0] + rng.sample(range(1, 1 << counter.dim), 2)
+    return [replace(counter, initial=BitState.from_int(v, counter.dim)) for v in values]
+
+
+def reference_cycle(counter, cap):
+    """open_step -> advance -> close_step with every step interpreted, and
+    the state compared and stored after each step."""
+    state = counter.fresh_state()
+    ledger = ProbeLedger()
+    start = prev = state.to_int()
+    seen = {start}
+    reads, writes, hamming = [], [], []
+    closed, distinct = False, True
+    while len(reads) < cap:
+        ledger.open_step()
+        counter.advance(state, ledger)
+        r, w = ledger.close_step()
+        cur = state.to_int()
+        reads.append(r)
+        writes.append(w)
+        hamming.append(bin(prev ^ cur).count("1"))
+        if cur == start:
+            closed = True
+            break
+        if cur in seen:
+            distinct = False
+            break
+        seen.add(cur)
+        prev = cur
+    return dict(
+        length=len(reads),
+        closed=closed,
+        distinct=distinct,
+        total_reads=ledger.total_reads,
+        total_writes=ledger.total_writes,
+        worst_reads=ledger.max_reads,
+        worst_writes=ledger.max_writes,
+        max_hamming=max(hamming),
+        last_state=BitState.from_int(prev, counter.dim).to_text() if closed else None,
+        step_reads=reads,
+        step_writes=writes,
+        step_hamming=hamming,
+    )
+
+
+_SCALARS = (
+    "length",
+    "closed",
+    "distinct",
+    "total_reads",
+    "total_writes",
+    "worst_reads",
+    "worst_writes",
+    "max_hamming",
+    "last_state",
+)
+
+
+def _observed(report):
+    fields = {key: getattr(report, key) for key in _SCALARS}
+    for key in ("step_reads", "step_writes", "step_hamming"):
+        fields[key] = getattr(report, key).tolist()
+    return fields
+
+
+@pytest.mark.parametrize("config", SWEEP_GRID, ids=_grid_id)
+def test_tree_walk_matches_interpreted_steps(config):
+    name, kw = config
+    for counter in _start_states(name, make_counter(name, **kw)):
+        full = reference_cycle(counter, 1 << 26)
+        report = enumerate_cycle(counter)
+        assert _observed(report) == full
+        assert report.avg_reads == Fraction(full["total_reads"], full["length"])
+        assert report.avg_writes == Fraction(full["total_writes"], full["length"])
+        assert report.interpreted_steps <= report.length
+        if name == "brgc":
+            # every brgc step reads all dim bits, so no path is grafted
+            assert report.interpreted_steps == report.length
+        cap = max(1, full["length"] * 2 // 3)
+        assert _observed(enumerate_cycle(counter, cap)) == reference_cycle(counter, cap)
+
+
+def test_tree_interprets_few_steps_where_paths_repeat(cycle_report):
+    lazy = cycle_report("lazy", n=16)
+    assert lazy.length == 131070
+    assert lazy.interpreted_steps <= 64
+    rpgc = enumerate_cycle(make_counter("rpgc", dim=13))
+    assert rpgc.interpreted_steps < rpgc.length // 3
+
+
+def _charged_step(counter, value):
+    """Run one step from ``value``: its charged reads with the values read,
+    and its writes with the values left in place."""
+    state = BitState.from_int(value, counter.dim)
+    ledger = ProbeLedger()
+    ledger.open_step()
+    counter.advance(state, ledger)
+    reads = {p: (value >> p) & 1 for p in ledger.read_set}
+    writes = {p: state.bits[p] for p in ledger.write_set}
+    ledger.close_step()
+    return reads, writes, state.to_int()
+
+
+@pytest.mark.parametrize("config", SWEEP_GRID, ids=_grid_id)
+def test_steps_see_only_the_bits_they_charge(config):
+    # the decision tree is sound only if a step's reads and writes are a
+    # function of the bits it charge-read
+    name, kw = config
+    counter = make_counter(name, **kw)
+    report = enumerate_cycle(counter)
+    stride = max(1, report.length // 12)
+    value = counter.initial.to_int()
+    for step in range(report.length):
+        reads, writes, after = _charged_step(counter, value)
+        if step % stride == 0:
+            for p in range(counter.dim):
+                if p not in reads:
+                    flipped = _charged_step(counter, value ^ (1 << p))
+                    assert flipped[:2] == (reads, writes), (step, p)
+        value = after

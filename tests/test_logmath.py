@@ -64,6 +64,13 @@ def test_compare_with_log2_irrational_tight_cases():
     assert compare_with_log2(Fraction(19, 12), 3) == -1
 
 
+def test_compare_with_log2_decides_near_ties_exactly():
+    # 126797/80000 = 1.5849625 sits 7.2e-10 below log2(3): grid rounds with
+    # k up to 2**24 cannot separate the two, and the round at k = den does
+    assert compare_with_log2(Fraction(126797, 80000), 3) == -1
+    assert compare_with_log2(Fraction(126798, 80000), 3) == 1
+
+
 def test_fraction_le_log_linear():
     # 6*log2(3) = 9.5097...
     assert fraction_le_log_linear(Fraction(95, 10), Fraction(6), 3)
