@@ -7,112 +7,28 @@ steps, probe averages and space efficiency against the documented bounds
 by exhaustive enumeration.
 """
 
-from .bounds import BoundResult, BoundSpec, LogLinearBound, check_bounds, paper_bounds
-from .brgc import (
-    brgc_next,
-    brgc_prev,
-    brgc_rank,
-    brgc_rank_tracked,
-    brgc_unrank,
-    make_brgc_counter,
-)
-from .composite import (
-    Layer,
-    LayerPlan,
-    PreconditionError,
-    auto_plan,
-    build_layered,
-    composite_step,
-    logstar_plan,
-    make_composite_counter,
-)
-from .counters import COUNTER_SCHEMAS, make_counter
-from .harness import (
-    DEFAULT_CYCLE_CAP,
-    CycleReport,
-    QuasiGrayCheck,
-    collect_metrics,
-    enumerate_cycle,
-    make_binary_counter,
-    standard_binary_step,
-    verify_quasi_gray,
-)
-from .lazy import (
-    LazyLayout,
-    double_spin_increment,
-    lazy_increment,
-    make_doublespin_counter,
-    make_lazy_counter,
-    make_spin_counter,
-    make_wine_counter,
-    spin_increment,
-    wine_increment,
-)
-from .logmath import log_star
+from .bounds import check_bounds, paper_bounds
+from .composite import PreconditionError, auto_plan, logstar_plan, make_composite_counter
+from .counters import make_counter
+from .harness import CycleReport, collect_metrics, enumerate_cycle, verify_quasi_gray
 from .probes import BitState, CounterSpec, ProbeLedger, UsageError
-from .rpgc import (
-    SubrangeView,
-    compare_equal,
-    compare_inc,
-    make_rpgc_counter,
-    rpgc_decrement,
-    rpgc_decrement_pow2,
-    rpgc_increment,
-    rpgc_increment_pow2,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BitState",
-    "BoundResult",
-    "BoundSpec",
-    "COUNTER_SCHEMAS",
     "CounterSpec",
     "CycleReport",
-    "DEFAULT_CYCLE_CAP",
-    "Layer",
-    "LayerPlan",
-    "LazyLayout",
-    "LogLinearBound",
     "PreconditionError",
     "ProbeLedger",
-    "QuasiGrayCheck",
-    "SubrangeView",
     "UsageError",
     "auto_plan",
-    "brgc_next",
-    "brgc_prev",
-    "brgc_rank",
-    "brgc_rank_tracked",
-    "brgc_unrank",
-    "build_layered",
     "check_bounds",
     "collect_metrics",
-    "compare_equal",
-    "compare_inc",
-    "composite_step",
-    "double_spin_increment",
     "enumerate_cycle",
-    "lazy_increment",
-    "log_star",
     "logstar_plan",
-    "make_binary_counter",
-    "make_brgc_counter",
     "make_composite_counter",
     "make_counter",
-    "make_doublespin_counter",
-    "make_lazy_counter",
-    "make_rpgc_counter",
-    "make_spin_counter",
-    "make_wine_counter",
     "paper_bounds",
-    "rpgc_decrement",
-    "rpgc_decrement_pow2",
-    "rpgc_increment",
-    "rpgc_increment_pow2",
-    "spin_increment",
-    "standard_binary_step",
     "verify_quasi_gray",
-    "wine_increment",
 ]

@@ -1,29 +1,24 @@
 """Claimed-bound specifications and their evaluation against cycle reports.
 
-A bound's value is an exact integer or rational, or a ``LogLinearBound``
-(coeff * log2(arg) + offset) whose comparisons are certified with integer
-arithmetic. Length formulas that the counters' own enumerations contradict
-are marked disputed: checking them yields a delta instead of a pass/fail.
+This module is the one home of every documented claim: ``paper_bounds``
+lists what ``verify`` checks, and ``table_bounds`` derives from it the
+bound cells that ``table1`` prints. A bound's value is an exact integer or
+rational, or a ``LogLinearBound`` (coeff * log2(arg) + offset) whose
+comparisons are certified with integer arithmetic. Length formulas that
+the counters' own enumerations contradict are marked disputed: checking
+them yields a delta instead of a pass/fail.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .harness import CycleReport, decimal_str
 from .logmath import compare_with_log2, is_power_of_two
 from .probes import CounterSpec, UsageError
-
-BOUND_KINDS = (
-    "length_exact",
-    "avg_reads_le",
-    "worst_reads_le",
-    "worst_writes_le",
-    "hamming_le",
-    "efficiency_ge",
-)
 
 
 @dataclass(frozen=True)
@@ -53,6 +48,24 @@ class LogLinearBound:
 
 
 BoundValue = Union[int, Fraction, LogLinearBound]
+
+
+def _le(actual: Union[int, Fraction], value: BoundValue) -> bool:
+    if isinstance(value, LogLinearBound):
+        return value.admits(Fraction(actual))
+    return actual <= value
+
+
+# bound kind -> (report field it is checked against, test of measured vs bound)
+BOUND_CHECKS = {
+    "length_exact": ("length", operator.eq),
+    "avg_reads_le": ("avg_reads", _le),
+    "worst_reads_le": ("worst_reads", _le),
+    "worst_writes_le": ("worst_writes", _le),
+    "hamming_le": ("max_hamming", _le),
+    "efficiency_ge": ("space_efficiency", operator.ge),
+}
+BOUND_KINDS = tuple(BOUND_CHECKS)
 
 
 @dataclass(frozen=True)
@@ -101,65 +114,31 @@ class BoundResult:
         )
 
 
-def _le(actual: Fraction, value: BoundValue) -> bool:
-    if isinstance(value, LogLinearBound):
-        return value.admits(Fraction(actual))
-    return actual <= value
-
-
 def check_bounds(report: CycleReport, bounds: List[BoundSpec]) -> List[BoundResult]:
-    """Evaluate each bound; disputed length bounds report deltas."""
+    """Evaluate each bound; disputed bounds report deltas."""
     if not report.closed:
         raise UsageError("check_bounds needs a closed report")
     results = []
     for bound in bounds:
-        if bound.kind == "length_exact":
-            actual: Union[int, Fraction] = report.length
-            if bound.disputed:
-                results.append(
-                    BoundResult(bound, actual, None, report.length - int(bound.value))
-                )
-                continue
-            results.append(BoundResult(bound, actual, report.length == bound.value))
-        elif bound.kind == "avg_reads_le":
-            results.append(
-                BoundResult(bound, report.avg_reads, _le(report.avg_reads, bound.value))
-            )
-        elif bound.kind == "worst_reads_le":
-            results.append(
-                BoundResult(
-                    bound, report.worst_reads, _le(Fraction(report.worst_reads), bound.value)
-                )
-            )
-        elif bound.kind == "worst_writes_le":
-            results.append(
-                BoundResult(
-                    bound,
-                    report.worst_writes,
-                    _le(Fraction(report.worst_writes), bound.value),
-                )
-            )
-        elif bound.kind == "hamming_le":
-            results.append(
-                BoundResult(
-                    bound, report.max_hamming, _le(Fraction(report.max_hamming), bound.value)
-                )
-            )
-        elif bound.kind == "efficiency_ge":
-            results.append(
-                BoundResult(
-                    bound,
-                    report.space_efficiency,
-                    report.space_efficiency >= bound.value,
-                )
-            )
-        else:  # pragma: no cover - guarded by BoundSpec
-            raise UsageError(f"unknown bound kind {bound.kind!r}")
+        field, holds = BOUND_CHECKS[bound.kind]
+        actual = getattr(report, field)
+        if bound.disputed:
+            results.append(BoundResult(bound, actual, None, actual - int(bound.value)))
+        else:
+            results.append(BoundResult(bound, actual, holds(actual, bound.value)))
     return results
 
 
 def _length_bound(formula: str, value: int, source: str, disputed: bool = False) -> BoundSpec:
     return BoundSpec("length_exact", formula, value, source, disputed)
+
+
+def _worst_pair(formula: str, value: int, family: str) -> List[BoundSpec]:
+    """One cap on both the reads and the writes of every step."""
+    return [
+        BoundSpec("worst_reads_le", formula, value, f"{family} worst reads"),
+        BoundSpec("worst_writes_le", formula, value, f"{family} worst writes"),
+    ]
 
 
 def paper_bounds(counter: CounterSpec) -> List[BoundSpec]:
@@ -176,19 +155,17 @@ def paper_bounds(counter: CounterSpec) -> List[BoundSpec]:
                 Fraction(2) - Fraction(1, 1 << (d - 1)),
                 "binary counter average",
             ),
-            BoundSpec("worst_reads_le", "d", d, "binary counter worst reads"),
-            BoundSpec("worst_writes_le", "d", d, "binary counter worst writes"),
+            *_worst_pair("d", d, "binary counter"),
         ]
     if name == "brgc":
         d = counter.dim
-        bounds = [
+        return [
             _length_bound("2^d", 1 << d, "reflected code length"),
             BoundSpec("avg_reads_le", "d", d, "reflected code average reads"),
             BoundSpec("worst_reads_le", "d", d, "reflected code worst reads"),
             BoundSpec("worst_writes_le", "1", 1, "reflected code single write"),
             BoundSpec("hamming_le", "1", 1, "Gray property"),
         ]
-        return bounds
     if name == "rpgc":
         d = counter.dim
         bounds = [
@@ -235,12 +212,7 @@ def paper_bounds(counter: CounterSpec) -> List[BoundSpec]:
     if name == "lazy":
         return [
             _length_bound("2^(n+1)-2", (1 << (n + 1)) - 2, "lazy counter length"),
-            BoundSpec(
-                "worst_reads_le", "log2(n)+1", w + 1, "lazy counter worst reads"
-            ),
-            BoundSpec(
-                "worst_writes_le", "log2(n)+1", w + 1, "lazy counter worst writes"
-            ),
+            *_worst_pair("log2(n)+1", w + 1, "lazy counter"),
             BoundSpec(
                 "avg_reads_le",
                 "3",
@@ -262,10 +234,7 @@ def paper_bounds(counter: CounterSpec) -> List[BoundSpec]:
                 "spin counter length, derived form",
                 disputed=True,
             ),
-            BoundSpec("worst_reads_le", "log2(n)+2", w + 2, "spin counter worst reads"),
-            BoundSpec(
-                "worst_writes_le", "log2(n)+2", w + 2, "spin counter worst writes"
-            ),
+            *_worst_pair("log2(n)+2", w + 2, "spin counter"),
             BoundSpec("avg_reads_le", "4", 4, "spin counter average reads"),
         ]
     g = int(p["g"])
@@ -277,12 +246,7 @@ def paper_bounds(counter: CounterSpec) -> List[BoundSpec]:
                 "double-spin length claim",
                 disputed=True,
             ),
-            BoundSpec(
-                "worst_reads_le", "g+log2(n)+1", g + w + 1, "double-spin worst reads"
-            ),
-            BoundSpec(
-                "worst_writes_le", "g+log2(n)+1", g + w + 1, "double-spin worst writes"
-            ),
+            *_worst_pair("g+log2(n)+1", g + w + 1, "double-spin"),
             BoundSpec(
                 "efficiency_ge",
                 "1-2^(2-g)",
@@ -311,3 +275,47 @@ def paper_bounds(counter: CounterSpec) -> List[BoundSpec]:
             ),
         ]
     raise UsageError(f"no bound catalog for counter {name!r}")
+
+
+# the bound columns of table1, in the order table_bounds fills them
+TABLE_COLUMNS = (
+    "paper_bound_space_efficiency",
+    "paper_bound_avg_reads",
+    "paper_bound_worst_reads",
+    "paper_bound_worst_writes",
+)
+
+
+def table_bounds(
+    counter: CounterSpec, inner_avg: Optional[Fraction] = None
+) -> Dict[str, str]:
+    """The bound text table1 prints beside each measured metric, by column.
+
+    Each cell comes from the last undisputed catalog entry of its kind.
+    Space efficiency is ``efficiency_ge`` or else the exact length over
+    2^dim; average reads fall back to the worst-read bound. Two claims lie
+    outside the catalog: doublespin's O(1), and composite's two-layer
+    average, which needs the inner code's measured average ``inner_avg``.
+    """
+    last = {b.kind: b for b in paper_bounds(counter) if not b.disputed}
+    if "efficiency_ge" in last:
+        efficiency = last["efficiency_ge"].value_decimal()
+    else:
+        length = last["length_exact"].value
+        efficiency = decimal_str(Fraction(length, 1 << counter.dim))
+    if counter.name == "composite":
+        # 6*log2(d') + 2 + r/2^d' for outer layer dimension d': the outer
+        # layer's own cost, the wrap test, and the rarely advanced inner
+        # code (its measured average r divided by the outer cycle length)
+        if inner_avg is None:
+            raise UsageError("the composite average bound needs the inner average")
+        outer = int(str(counter.params["layers"]).split(",")[-1])
+        avg = LogLinearBound(
+            Fraction(6), outer, Fraction(2) + inner_avg / (1 << outer)
+        ).decimal()
+    elif counter.name == "doublespin":
+        avg = "O(1)"
+    else:
+        avg = last.get("avg_reads_le", last["worst_reads_le"]).value_decimal()
+    worst = [last[kind].value_decimal() for kind in ("worst_reads_le", "worst_writes_le")]
+    return dict(zip(TABLE_COLUMNS, (efficiency, avg, *worst)))

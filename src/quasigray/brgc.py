@@ -12,7 +12,8 @@ from __future__ import annotations
 from .probes import BitState, CounterSpec, ProbeLedger, UsageError
 
 
-def _next_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
+def _scan(state: BitState, ledger: ProbeLedger, off: int, n: int):
+    """Read every bit from ``off`` upward: the parity and the lowest 1 (-1 if none)."""
     parity = 0
     low_one = -1
     for j in range(n):
@@ -20,6 +21,11 @@ def _next_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
         parity ^= v
         if v and low_one < 0:
             low_one = j
+    return parity, low_one
+
+
+def _next_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
+    parity, low_one = _scan(state, ledger, off, n)
     if parity == 0:
         ledger.write(state, off, ledger.read(state, off) ^ 1)
     elif low_one == n - 1:
@@ -31,13 +37,7 @@ def _next_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
 
 
 def _prev_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
-    parity = 0
-    low_one = -1
-    for j in range(n):
-        v = ledger.read(state, off + j)
-        parity ^= v
-        if v and low_one < 0:
-            low_one = j
+    parity, low_one = _scan(state, ledger, off, n)
     if parity == 1:
         ledger.write(state, off, ledger.read(state, off) ^ 1)
     elif low_one < 0:

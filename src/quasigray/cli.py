@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence
 
 from .bounds import check_bounds, paper_bounds
 from .composite import PreconditionError
-from .counters import COUNTER_SCHEMAS, make_counter
-from .harness import cycle_cap_from_env, enumerate_cycle, verify_quasi_gray
+from .counters import COUNTER_SCHEMAS, make_counter, unused_params
+from .harness import cycle_cap_from_env, enumerate_cycle, flatten_report, verify_quasi_gray
 from .probes import UsageError
-from .reports import CSV_COLUMNS, build_table1_rows, csv_text, json_text, metrics_row
+from .reports import build_table1_rows, csv_text, json_text, summary_text
 
 
 def _parse_int_list(text: str, flag: str) -> List[int]:
@@ -132,16 +132,13 @@ def _write_out(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _summary_line(row: Dict[str, object]) -> str:
-    parts = []
-    for col in CSV_COLUMNS:
-        value = row[col]
-        if isinstance(value, dict):
-            value = value["decimal"]
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        parts.append(f"{col}={value}")
-    return " ".join(parts) + "\n"
+def _write_rows(
+    args: argparse.Namespace,
+    rows: List[Dict[str, object]],
+    columns: Optional[List[str]] = None,
+) -> None:
+    text = json_text(rows) if args.emit == "json" else csv_text(rows, columns)
+    _write_out(text, args.output)
 
 
 def _cmd_list() -> int:
@@ -153,13 +150,13 @@ def _cmd_list() -> int:
 def _cmd_cycle(args: argparse.Namespace) -> int:
     counter = make_counter(args.counter, **_selector_kwargs(args))
     report = enumerate_cycle(counter, _cap(args))
-    row = metrics_row(report)
+    row = flatten_report(report)
     if args.emit == "json":
         _write_out(json_text(row), args.output)
     elif args.emit == "csv":
         _write_out(csv_text([row]), args.output)
     else:
-        _write_out(_summary_line(row), args.output)
+        _write_out(summary_text(row), args.output)
     if not report.closed:
         print(
             f"warning: cycle did not close within {_cap(args)} steps", file=sys.stderr
@@ -194,6 +191,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _bench_configs(args: argparse.Namespace) -> List[Dict[str, object]]:
     name = args.counter
+    # the sweep flags stand for the make_counter parameters dim, n and g
+    flags = {"dim": "--dims", "n": "--ns", "g": "--gs"}
+    given = dict(dim=args.dims, n=args.ns, g=args.gs)
+    given.update(layers=args.layers, inner=args.inner, encoding=args.encoding)
+    unused = unused_params(name, given)
+    if unused:
+        text = ", ".join(flags.get(key, "--" + key) for key in unused)
+        raise UsageError(f"bench --counter {name} does not take {text}")
     if name in ("binary", "brgc", "rpgc"):
         if not args.dims:
             raise UsageError(f"bench --counter {name} needs --dims")
@@ -219,7 +224,7 @@ def _bench_configs(args: argparse.Namespace) -> List[Dict[str, object]]:
     for n in ns:
         for g in gs:
             cfg: Dict[str, object] = {"n": n, "g": g}
-            if name == "wine" and args.encoding:
+            if args.encoding:
                 cfg["encoding"] = args.encoding
             configs.append(cfg)
     return configs
@@ -230,20 +235,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for cfg in _bench_configs(args):
         counter = make_counter(args.counter, **cfg)
-        rows.append(metrics_row(enumerate_cycle(counter, cap)))
-    if args.emit == "json":
-        _write_out(json_text(rows), args.output)
-    else:
-        _write_out(csv_text(rows), args.output)
+        rows.append(flatten_report(enumerate_cycle(counter, cap)))
+    _write_rows(args, rows)
     return 0
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     columns, rows = build_table1_rows(_cap(args))
-    if args.emit == "json":
-        _write_out(json_text(rows), args.output)
-    else:
-        _write_out(csv_text(rows, columns), args.output)
+    _write_rows(args, rows, columns)
     return 0
 
 

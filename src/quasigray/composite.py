@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from . import brgc, rpgc
-from .logmath import iterated_log_at_least, log_star
-from .probes import BitState, CounterSpec, ProbeLedger, UsageError
+from .logmath import iterated_floor_log, iterated_log_at_least, log_star
+from .probes import BitState, CounterSpec, ProbeLedger, UsageError, field_is_zero
 
 LAYER_KINDS = ("rpgc", "brgc")
 
@@ -82,14 +82,7 @@ def composite_step(plan: LayerPlan, state: BitState, ledger: ProbeLedger) -> Non
             rpgc._inc(state, ledger, off, lay.dim)
         else:
             brgc._next_range(state, ledger, off, lay.dim)
-        if idx == 0:
-            return
-        wrapped = True
-        for j in range(lay.dim):
-            if ledger.read(state, off + j):
-                wrapped = False
-                break
-        if not wrapped:
+        if idx == 0 or not field_is_zero(state, ledger, off, lay.dim):
             return
         idx -= 1
 
@@ -104,15 +97,6 @@ def build_layered(dims: Sequence[int], inner_kind: str = "rpgc") -> LayerPlan:
     layers = [Layer(inner_kind, dims[0])]
     layers.extend(Layer("rpgc", d) for d in dims[1:])
     return LayerPlan(layers)
-
-
-def _iterated_floor_log(d: int, k: int) -> int:
-    v = d
-    for _ in range(k):
-        if v < 1:
-            raise UsageError("iterated log underflow")
-        v = v.bit_length() - 1
-    return v
 
 
 def auto_plan(d: int, c: int) -> LayerPlan:
@@ -135,7 +119,7 @@ def auto_plan(d: int, c: int) -> LayerPlan:
         )
     # outer layer dimension ceil(log2(6*log^(2c-3)(d) + 11)), per the
     # inductive split; unreachable in practice but kept exact in shape
-    x = _iterated_floor_log(d, 2 * c - 3)
+    x = iterated_floor_log(d, 2 * c - 3)
     r = 6 * x + 11
     d_outer = (r - 1).bit_length()
     inner = auto_plan(d - d_outer, c - 1)
@@ -147,14 +131,19 @@ _T17 = 1 << 17
 
 
 def _logstar_layers(d: int) -> Tuple[Layer, ...]:
-    if d > 15 + _T17:
-        return _logstar_layers(d - 5) + (Layer("rpgc", 5),)
-    if d > 10 + _T17:
-        return _logstar_layers(d - 7) + (Layer("rpgc", 7),)
-    if d > 3 + _T17:
-        return _logstar_layers(d - (3 + _T16)) + (Layer("rpgc", 3 + _T16),)
+    # peel fixed outer layers while d is above a threshold, outermost first
+    outer = []
+    while d > 3 + _T17:
+        if d > 15 + _T17:
+            peel = 5
+        elif d > 10 + _T17:
+            peel = 7
+        else:
+            peel = 3 + _T16
+        outer.append(Layer("rpgc", peel))
+        d -= peel
     c = (log_star(d) - 3) // 2
-    return auto_plan(d, c).layers
+    return auto_plan(d, c).layers + tuple(reversed(outer))
 
 
 def logstar_plan(d: int) -> LayerPlan:

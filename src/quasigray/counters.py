@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .brgc import make_brgc_counter
 from .composite import auto_plan, build_layered, make_composite_counter
@@ -29,6 +29,27 @@ COUNTER_SCHEMAS = {
     " optional --encoding brgc|rpgc",
 }
 
+# the make_counter parameters each counter takes; composite takes one of two
+# sets, the first whose leading parameter is given (else the first set)
+COUNTER_PARAMS = {
+    "binary": [("dim",)],
+    "brgc": [("dim",)],
+    "rpgc": [("dim",)],
+    "composite": [("layers", "inner"), ("dim", "c")],
+    "lazy": [("n",)],
+    "spin": [("n",)],
+    "doublespin": [("n", "g")],
+    "wine": [("n", "g", "encoding")],
+}
+
+
+def unused_params(name: str, given: Dict[str, object]) -> List[str]:
+    """The parameters in ``given`` that are set but that counter ``name``
+    does not take."""
+    options = COUNTER_PARAMS[name]
+    taken = next((opt for opt in options if given.get(opt[0]) is not None), options[0])
+    return [key for key, value in given.items() if value is not None and key not in taken]
+
 
 def make_counter(
     name: str,
@@ -44,6 +65,11 @@ def make_counter(
         raise UsageError(
             f"unknown counter {name!r}; available: {', '.join(sorted(COUNTER_SCHEMAS))}"
         )
+    given = dict(dim=dim, n=n, g=g, layers=layers, inner=inner, c=c, encoding=encoding)
+    unused = unused_params(name, given)
+    if unused:
+        flags = ", ".join("--" + key for key in unused)
+        raise UsageError(f"counter {name} does not take {flags}")
     if name in ("binary", "brgc", "rpgc"):
         if dim is None:
             raise UsageError(f"counter {name} needs --dim")
@@ -54,7 +80,7 @@ def make_counter(
         }[name]
         return factory(dim)
     if name == "composite":
-        if layers:
+        if layers is not None:
             plan = build_layered(list(layers), inner or "rpgc")
         elif dim is not None:
             plan = auto_plan(dim, c if c is not None else 1)

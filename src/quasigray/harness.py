@@ -1,10 +1,10 @@
 """Exhaustive cycle enumeration and metric collection.
 
 ``enumerate_cycle`` steps a counter from its initial state until the
-initial state recurs (or a cap is hit), certifying distinctness from raw
-state snapshots and aggregating the ledger's probe charges into exact
-rational metrics. Nothing here depends on floating point, so two runs of
-the same enumeration are bit-identical.
+initial state recurs (or a cap is hit), detecting in constant memory a run
+that can never return, and aggregates the ledger's probe charges into
+exact rational metrics. Nothing here depends on floating point, so two
+runs of the same enumeration are bit-identical.
 """
 
 from __future__ import annotations
@@ -16,14 +16,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, Optional
 
-from .probes import BitState, CounterSpec, ProbeLedger, UsageError
+from .probes import BitState, CounterSpec, ProbeLedger, UsageError, increment_field
 
 DEFAULT_CYCLE_CAP = 1 << 26
 CAP_ENV_VAR = "QUASIGRAY_CYCLE_CAP"
-
-# below this dimension the distinctness certificate is a 2^dim bitmap;
-# above it, a hash set of snapshots
-_BITMAP_MAX_DIM = 26
 
 
 def cycle_cap_from_env(default: int = DEFAULT_CYCLE_CAP) -> int:
@@ -44,8 +40,9 @@ class CycleReport:
     """Everything measured over one enumeration.
 
     ``length`` counts the steps taken; when ``closed`` it equals the cycle
-    length L (first return to the initial state). ``last_state`` is the
-    canonical text of the state visited just before that return.
+    length L (first return to the initial state). ``distinct`` is False
+    only once a repeat was detected. ``last_state`` is the canonical text
+    of the state visited just before that return.
     """
 
     counter: str
@@ -122,9 +119,14 @@ def _graft(
 def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleReport:
     """Run the counter until its initial state recurs or ``cap`` steps.
 
-    A repeated non-initial state means the trajectory can never close
-    (steps are deterministic), so the run stops early with
-    ``closed = distinct = False``.
+    A first return to the initial state at step L proves the L states
+    distinct: steps are deterministic, so s_i = s_j with 0 < i < j < L
+    would give s_(i+L-j) = s_0 before step L. A run that enters a loop
+    missing the initial state can never close; Brent's cycle detection
+    finds the loop in constant memory by comparing each state with the
+    one saved at the last power-of-two step. Such a run stops with
+    ``closed = distinct = False``, and its ``length`` is the step at which
+    the repeat was detected, which may lie past the first repeated state.
 
     The run grows a decision tree over the state's bits from the steps it
     interprets: a node is ``(position, child0, child1)`` in a flat array, a
@@ -151,12 +153,8 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     snap0 = state.to_int()
     snap = snap0
 
-    use_bitmap = dim <= _BITMAP_MAX_DIM
-    if use_bitmap:
-        seen_bits = bytearray(((1 << dim) >> 3) + 1)
-        seen_bits[snap0 >> 3] |= 1 << (snap0 & 7)
-    else:
-        seen_set = {snap0}
+    saved = snap0
+    next_save = 1
 
     step_reads = array("H")
     step_writes = array("H")
@@ -216,18 +214,12 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
         if snap == snap0:
             closed = True
             break
-        if use_bitmap:
-            idx = snap >> 3
-            bit = 1 << (snap & 7)
-            if seen_bits[idx] & bit:
-                distinct = False
-                break
-            seen_bits[idx] |= bit
-        else:
-            if snap in seen_set:
-                distinct = False
-                break
-            seen_set.add(snap)
+        if snap == saved:
+            distinct = False
+            break
+        if steps == next_save:
+            saved = snap
+            next_save <<= 1
         prev = snap
 
     total_reads = ledger.total_reads + hit_reads
@@ -341,14 +333,8 @@ def collect_metrics(report: CycleReport) -> Dict[str, object]:
 
 
 def standard_binary_step(state: BitState, ledger: ProbeLedger) -> None:
-    """Binary increment with carry: flip 1s from bit 0 upward until a 0 is
-    flipped to 1; all-ones wraps to all zeros. Reads = writes = chain."""
-    for pos in range(state.dim):
-        if ledger.read(state, pos):
-            ledger.write(state, pos, 0)
-        else:
-            ledger.write(state, pos, 1)
-            return
+    """Binary increment of the whole state; all-ones wraps to all zeros."""
+    increment_field(state, ledger, 0, state.dim)
 
 
 def make_binary_counter(dim: int) -> CounterSpec:

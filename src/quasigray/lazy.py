@@ -24,7 +24,15 @@ from typing import List
 
 from . import brgc, rpgc
 from .logmath import is_power_of_two
-from .probes import BitState, CounterSpec, ProbeLedger, UsageError
+from .probes import (
+    BitState,
+    CounterSpec,
+    ProbeLedger,
+    UsageError,
+    field_is_zero,
+    increment_field,
+    read_field,
+)
 
 ENCODINGS = ("binary", "brgc", "rpgc")
 
@@ -99,10 +107,7 @@ class SubCode:
     def rank(self, state: BitState, ledger: ProbeLedger, off: int) -> int:
         if self.kind == "brgc":
             return brgc._rank_range_tracked(state, ledger, off, self.width)
-        value = 0
-        for j in range(self.width):
-            value |= ledger.read(state, off + j) << j
-        return self._rank_table[value]
+        return self._rank_table[read_field(state, ledger, off, self.width)]
 
 
 @lru_cache(maxsize=None)
@@ -125,13 +130,6 @@ def _rpgc_rank_table(width: int) -> dict:
     return table
 
 
-def _read_int_field(state: BitState, ledger: ProbeLedger, off: int, width: int) -> int:
-    value = 0
-    for j in range(width):
-        value |= ledger.read(state, off + j) << j
-    return value
-
-
 def _assign_int_field(
     state: BitState, ledger: ProbeLedger, off: int, old: int, new: int
 ) -> None:
@@ -145,22 +143,9 @@ def _assign_int_field(
         j += 1
 
 
-def _binary_increment_chain(
-    state: BitState, ledger: ProbeLedger, off: int, width: int
-) -> bool:
-    """Carry-chain increment; returns True when the field wraps to zero."""
-    for j in range(width):
-        if ledger.read(state, off + j):
-            ledger.write(state, off + j, 0)
-        else:
-            ledger.write(state, off + j, 1)
-            return False
-    return True
-
-
 def _lazy_core(state: BitState, ledger: ProbeLedger, n: int, width: int) -> int:
     """One base lazy step on (b, i); returns the new value of i."""
-    ival = _read_int_field(state, ledger, n, width)
+    ival = read_field(state, ledger, n, width)
     if ledger.read(state, ival):
         ledger.write(state, ival, 0)
         new_i = (ival + 1) % n
@@ -179,18 +164,11 @@ def lazy_increment(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> 
 
 
 def spin_increment(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> None:
-    """Spin i through all values while k = 0, then run real increments."""
+    """Spin i through all values while k = 0, then run real increments: the
+    one-bit phase case of :func:`double_spin_increment`."""
     if layout.g != 1:
         raise UsageError("spin_increment uses a layout with g = 1")
-    if layout.encoding != "binary":
-        raise UsageError("spin_increment uses binary fields")
-    k_off = layout.k_offset
-    if ledger.read(state, k_off) == 0:
-        if _binary_increment_chain(state, ledger, layout.i_offset, layout.width):
-            ledger.write(state, k_off, 1)
-    else:
-        if _lazy_core(state, ledger, layout.n, layout.width) == 0:
-            ledger.write(state, k_off, 0)
+    double_spin_increment(layout, state, ledger)
 
 
 def double_spin_increment(
@@ -210,7 +188,7 @@ def double_spin_increment(
             first_zero = j
             break
     if first_zero >= 0:
-        if _binary_increment_chain(state, ledger, layout.i_offset, layout.width):
+        if increment_field(state, ledger, layout.i_offset, layout.width):
             # k+1 touches exactly the bits the scan above already read
             for j in range(first_zero):
                 ledger.write(state, k_off + j, 0)
@@ -226,13 +204,6 @@ def _field_matches(
 ) -> bool:
     for j, want in enumerate(pattern):
         if ledger.read(state, off + j) != want:
-            return False
-    return True
-
-
-def _field_is_zero(state: BitState, ledger: ProbeLedger, off: int, width: int) -> bool:
-    for j in range(width):
-        if ledger.read(state, off + j):
             return False
     return True
 
@@ -260,14 +231,14 @@ def wine_increment(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> 
     k_off = layout.k_offset
     if not _field_matches(state, ledger, k_off, k_code.max_pattern):
         i_code.advance(state, ledger, i_off)
-        if _field_is_zero(state, ledger, i_off, layout.width):
+        if field_is_zero(state, ledger, i_off, layout.width):
             k_code.advance(state, ledger, k_off)
     else:
         pos = i_code.rank(state, ledger, i_off)
         if ledger.read(state, pos):
             ledger.write(state, pos, 0)
             i_code.advance(state, ledger, i_off)
-            if _field_is_zero(state, ledger, i_off, layout.width):
+            if field_is_zero(state, ledger, i_off, layout.width):
                 _clear_max_state(state, ledger, k_off, k_code)
         else:
             ledger.write(state, pos, 1)
@@ -275,56 +246,35 @@ def wine_increment(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> 
             _clear_max_state(state, ledger, k_off, k_code)
 
 
-def _layout_params(layout: LazyLayout) -> dict:
-    # reports echo the layout as (n, g, encoding)
-    return {"encoding": layout.encoding, "g": layout.g, "n": layout.n}
+def _lazy_counter(name: str, layout: LazyLayout, step, claimed_c: int) -> CounterSpec:
+    return CounterSpec(
+        name=name,
+        dim=layout.dim,
+        # reports echo the layout as (n, g, encoding)
+        params={"encoding": layout.encoding, "g": layout.g, "n": layout.n},
+        initial=BitState.zeros(layout.dim),
+        advance=lambda s, led: step(layout, s, led),
+        claimed_c=claimed_c,
+    )
 
 
 def make_lazy_counter(n: int) -> CounterSpec:
     layout = LazyLayout(n, 0)
-    return CounterSpec(
-        name="lazy",
-        dim=layout.dim,
-        params=_layout_params(layout),
-        initial=BitState.zeros(layout.dim),
-        advance=lambda s, led: lazy_increment(layout, s, led),
-        claimed_c=layout.width + 1,
-    )
+    return _lazy_counter("lazy", layout, lazy_increment, layout.width + 1)
 
 
 def make_spin_counter(n: int) -> CounterSpec:
     layout = LazyLayout(n, 1)
-    return CounterSpec(
-        name="spin",
-        dim=layout.dim,
-        params=_layout_params(layout),
-        initial=BitState.zeros(layout.dim),
-        advance=lambda s, led: spin_increment(layout, s, led),
-        claimed_c=layout.width + 2,
-    )
+    return _lazy_counter("spin", layout, spin_increment, layout.width + 2)
 
 
 def make_doublespin_counter(n: int, g: int) -> CounterSpec:
     layout = LazyLayout(n, g)
-    return CounterSpec(
-        name="doublespin",
-        dim=layout.dim,
-        params=_layout_params(layout),
-        initial=BitState.zeros(layout.dim),
-        advance=lambda s, led: double_spin_increment(layout, s, led),
-        claimed_c=g + layout.width + 1,
-    )
+    return _lazy_counter("doublespin", layout, double_spin_increment, g + layout.width + 1)
 
 
 def make_wine_counter(n: int, g: int, encoding: str = "brgc") -> CounterSpec:
     layout = LazyLayout(n, g, encoding)
     if layout.encoding == "binary":
         raise UsageError("wine counters need a Gray sub-code encoding")
-    return CounterSpec(
-        name="wine",
-        dim=layout.dim,
-        params=_layout_params(layout),
-        initial=BitState.zeros(layout.dim),
-        advance=lambda s, led: wine_increment(layout, s, led),
-        claimed_c=3,
-    )
+    return _lazy_counter("wine", layout, wine_increment, 3)

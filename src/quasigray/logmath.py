@@ -9,6 +9,7 @@ escalating grid), so a reported pass or fail is never a float artifact.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .probes import UsageError
 
@@ -33,12 +34,19 @@ def iterated_log_at_least(d: int, k: int, threshold: int) -> bool:
         raise UsageError(f"iterated log requires d >= 1, got {d}")
     if k < 0 or threshold < 1:
         raise UsageError("k must be >= 0 and threshold >= 1")
+    v = iterated_floor_log(d, k)
+    return v is not None and v >= threshold
+
+
+def iterated_floor_log(d: int, k: int) -> Optional[int]:
+    """floor(log2) applied k times to d, or None once the value drops below 1
+    before the last application."""
     v = d
     for _ in range(k):
         if v < 1:
-            return False
+            return None
         v = v.bit_length() - 1
-    return v >= threshold
+    return v
 
 
 def log_star(n: int) -> int:
@@ -85,12 +93,3 @@ def compare_with_log2(value: Fraction, arg: int) -> int:
         if (1 << floor_b) >= power:  # floor_b/k >= log2(arg), so value >= it
             return 1
         k <<= 6
-
-
-def fraction_le_log_linear(
-    value: Fraction, coeff: Fraction, arg: int, offset: Fraction = Fraction(0)
-) -> bool:
-    """Certified test of ``value <= coeff*log2(arg) + offset`` (coeff > 0)."""
-    if coeff <= 0:
-        raise UsageError("coefficient must be positive")
-    return compare_with_log2((value - offset) / coeff, arg) <= 0

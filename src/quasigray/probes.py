@@ -171,6 +171,39 @@ class ProbeLedger:
         return r, w
 
 
+# Tracked operations on a field of ``width`` bits starting at ``off``; each
+# reads from bit ``off`` upward, and the counters rely on that order.
+
+
+def read_field(state: BitState, ledger: ProbeLedger, off: int, width: int) -> int:
+    """The field as an integer with bit ``off`` lowest; reads every bit."""
+    value = 0
+    for j in range(width):
+        value |= ledger.read(state, off + j) << j
+    return value
+
+
+def field_is_zero(state: BitState, ledger: ProbeLedger, off: int, width: int) -> bool:
+    """All-zeros test that stops at the first 1."""
+    for j in range(width):
+        if ledger.read(state, off + j):
+            return False
+    return True
+
+
+def increment_field(state: BitState, ledger: ProbeLedger, off: int, width: int) -> bool:
+    """Binary increment with carry: flip 1s upward until a 0 is flipped to
+    1. Reads = writes = chain length. Returns True when the field wraps to
+    all zeros."""
+    for j in range(width):
+        if ledger.read(state, off + j):
+            ledger.write(state, off + j, 0)
+        else:
+            ledger.write(state, off + j, 1)
+            return False
+    return True
+
+
 AdvanceFn = Callable[[BitState, ProbeLedger], None]
 
 

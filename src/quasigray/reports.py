@@ -7,9 +7,9 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bounds import LogLinearBound
+from .bounds import TABLE_COLUMNS, table_bounds
 from .counters import make_counter
-from .harness import CycleReport, decimal_str, enumerate_cycle, flatten_report
+from .harness import enumerate_cycle, flatten_report
 from .probes import UsageError
 
 CSV_COLUMNS = [
@@ -30,20 +30,6 @@ CSV_COLUMNS = [
 TABLE1_DIMS = list(range(2, 11))
 TABLE1_COMPOSITES = [((6, 3), "rpgc"), ((10, 3, 2), "rpgc")]
 TABLE1_SPIN_CONFIGS = [(4, 1), (4, 2), (8, 1), (8, 2)]
-
-_BOUND_COLUMNS = [
-    "paper_bound_space_efficiency",
-    "paper_bound_avg_reads",
-    "paper_bound_worst_reads",
-    "paper_bound_worst_writes",
-]
-
-
-def metrics_row(report: CycleReport) -> Dict[str, object]:
-    """Like :func:`collect_metrics` but tolerates an unclosed report, so
-    the CLI can still emit a row that records closed = false."""
-    return flatten_report(report)
-
 
 def _cell(value: object) -> str:
     if isinstance(value, bool):
@@ -74,67 +60,9 @@ def json_text(payload: object) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _bound_cells(
-    name: str, dim: int, params: Dict[str, object], inner_avg: Optional[Fraction]
-) -> Dict[str, str]:
-    if name == "binary":
-        return {
-            "paper_bound_space_efficiency": "1",
-            "paper_bound_avg_reads": decimal_str(
-                Fraction(2) - Fraction(1, 1 << (dim - 1))
-            ),
-            "paper_bound_worst_reads": str(dim),
-            "paper_bound_worst_writes": str(dim),
-        }
-    if name == "brgc":
-        return {
-            "paper_bound_space_efficiency": "1",
-            "paper_bound_avg_reads": str(dim),
-            "paper_bound_worst_reads": str(dim),
-            "paper_bound_worst_writes": "1",
-        }
-    if name == "rpgc":
-        return {
-            "paper_bound_space_efficiency": "1",
-            "paper_bound_avg_reads": LogLinearBound(Fraction(6), dim).decimal(),
-            "paper_bound_worst_reads": str(dim),
-            "paper_bound_worst_writes": "1",
-        }
-    if name == "composite":
-        dims = [int(x) for x in str(params["layers"]).split(",")]
-        outer = dims[-1]
-        # per-step cost of the outer layer, the wrap test, and the rarely
-        # advanced inner code (measured average divided by the outer length)
-        if inner_avg is None:
-            raise UsageError("composite bound cells need the inner average")
-        avg_bound = LogLinearBound(
-            Fraction(6), outer, Fraction(2) + inner_avg / (1 << outer)
-        )
-        return {
-            "paper_bound_space_efficiency": "1",
-            "paper_bound_avg_reads": avg_bound.decimal(),
-            "paper_bound_worst_reads": str(sum(dims)),
-            "paper_bound_worst_writes": str(len(dims)),
-        }
-    n = int(params["n"])
-    g = int(params["g"])
-    w = n.bit_length() - 1
-    efficiency = decimal_str(Fraction(1) - Fraction(4, 1 << g))
-    if name == "doublespin":
-        return {
-            "paper_bound_space_efficiency": efficiency,
-            "paper_bound_avg_reads": "O(1)",
-            "paper_bound_worst_reads": str(g + w + 1),
-            "paper_bound_worst_writes": str(g + w + 1),
-        }
-    if name == "wine":
-        return {
-            "paper_bound_space_efficiency": efficiency,
-            "paper_bound_avg_reads": str(g + w + 1),
-            "paper_bound_worst_reads": str(g + w + 1),
-            "paper_bound_worst_writes": "3",
-        }
-    raise UsageError(f"no bound cells for counter {name!r}")
+def summary_text(row: Dict[str, object]) -> str:
+    """One line of ``column=value`` pairs, holding the cells of csv_text."""
+    return " ".join(f"{col}={_cell(row[col])}" for col in CSV_COLUMNS) + "\n"
 
 
 def build_table1_rows(
@@ -142,15 +70,13 @@ def build_table1_rows(
 ) -> Tuple[List[str], List[Dict[str, object]]]:
     """Rows for the desk-scale summary table: measured metrics side by side
     with the documented bounds for each counter family."""
-    columns = CSV_COLUMNS + _BOUND_COLUMNS
+    columns = CSV_COLUMNS + list(TABLE_COLUMNS)
     rows: List[Dict[str, object]] = []
 
-    def add(counter, inner_avg: Optional[Fraction] = None) -> CycleReport:
-        report = enumerate_cycle(counter, cap)
-        row = metrics_row(report)
-        row.update(_bound_cells(counter.name, counter.dim, counter.params, inner_avg))
+    def add(counter, inner_avg: Optional[Fraction] = None) -> None:
+        row = flatten_report(enumerate_cycle(counter, cap))
+        row.update(table_bounds(counter, inner_avg))
         rows.append(row)
-        return report
 
     for name in ("binary", "brgc", "rpgc"):
         for d in TABLE1_DIMS:

@@ -21,39 +21,12 @@ depends on them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .probes import BitState, CounterSpec, ProbeLedger, UsageError
-
-
-@dataclass(frozen=True)
-class SubrangeView:
-    """A window of ``length`` bits of ``base`` starting at ``offset``."""
-
-    base: BitState
-    offset: int
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise UsageError(f"view length must be >= 1, got {self.length}")
-        if self.offset < 0 or self.offset + self.length > self.base.dim:
-            raise UsageError(
-                f"view [{self.offset}, {self.offset + self.length}) exceeds "
-                f"dim {self.base.dim}"
-            )
+from .probes import BitState, CounterSpec, ProbeLedger, UsageError, field_is_zero
 
 
 def _equal(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) -> bool:
     for i in range(n):
         if led.read(s, off_a + i) != led.read(s, off_b + i):
-            return False
-    return True
-
-
-def _all_zero(s: BitState, led: ProbeLedger, off: int, n: int) -> bool:
-    for i in range(n):
-        if led.read(s, off + i):
             return False
     return True
 
@@ -118,7 +91,7 @@ def _compare_inc(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) 
         )
     if _is_min(s, led, off_b + 1, m):
         # successor of B is all zeros
-        return led.read(s, off_a) == 0 and _all_zero(s, led, off_a + 1, m)
+        return led.read(s, off_a) == 0 and field_is_zero(s, led, off_a + 1, m)
     # successor of B decrements W, so W must be the successor of A's tail
     return led.read(s, off_a) == 1 and _compare_inc(s, led, off_b + 1, off_a + 1, m)
 
@@ -197,66 +170,24 @@ def _dec(s: BitState, led: ProbeLedger, off: int, n: int) -> None:
         _dec(s, led, off, h)
 
 
-def _check_same_base(a: SubrangeView, b: SubrangeView) -> None:
-    if a.base is not b.base:
-        raise UsageError("views must share one base state")
-    if a.length != b.length:
-        raise UsageError(f"length mismatch: {a.length} != {b.length}")
-
-
-def compare_equal(a: SubrangeView, b: SubrangeView, ledger: ProbeLedger) -> bool:
-    """Pairwise equality scan, stopping at the first differing pair."""
-    _check_same_base(a, b)
-    return _equal(a.base, ledger, a.offset, b.offset, a.length)
-
-
-def compare_inc(a: SubrangeView, b: SubrangeView, ledger: ProbeLedger) -> bool:
-    """True iff incrementing ``b`` would put its bits in the state of ``a``.
-
-    Power-of-two lengths follow the half-splitting recursion exactly; other
-    lengths fall back on the direction-bit structure of the successor.
-    """
-    _check_same_base(a, b)
-    return _compare_inc(a.base, ledger, a.offset, b.offset, a.length)
-
-
-def _require_pow2(n: int) -> None:
-    if n & (n - 1):
-        raise UsageError(f"length must be a power of two, got {n}")
-
-
-def rpgc_increment_pow2(view: SubrangeView, ledger: ProbeLedger) -> None:
-    _require_pow2(view.length)
-    _inc_pow2(view.base, ledger, view.offset, view.length)
-
-
-def rpgc_decrement_pow2(view: SubrangeView, ledger: ProbeLedger) -> None:
-    _require_pow2(view.length)
-    _dec_pow2(view.base, ledger, view.offset, view.length)
-
-
-def rpgc_increment(view: SubrangeView, ledger: ProbeLedger) -> None:
+def rpgc_increment(state: BitState, ledger: ProbeLedger) -> None:
     """One step forward; writes exactly one bit."""
-    _inc(view.base, ledger, view.offset, view.length)
+    _inc(state, ledger, 0, state.dim)
 
 
-def rpgc_decrement(view: SubrangeView, ledger: ProbeLedger) -> None:
+def rpgc_decrement(state: BitState, ledger: ProbeLedger) -> None:
     """Exact inverse of :func:`rpgc_increment`; writes exactly one bit."""
-    _dec(view.base, ledger, view.offset, view.length)
+    _dec(state, ledger, 0, state.dim)
 
 
 def make_rpgc_counter(dim: int) -> CounterSpec:
     if dim < 1:
         raise UsageError(f"dimension must be >= 1, got {dim}")
-
-    def advance(state: BitState, ledger: ProbeLedger) -> None:
-        _inc(state, ledger, 0, dim)
-
     return CounterSpec(
         name="rpgc",
         dim=dim,
         params={"dim": dim},
         initial=BitState.zeros(dim),
-        advance=advance,
+        advance=rpgc_increment,
         claimed_c=1,
     )

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasigray import (
-    BitState,
-    ProbeLedger,
-    UsageError,
+from quasigray import BitState, ProbeLedger, UsageError
+from quasigray.brgc import (
     brgc_next,
     brgc_prev,
     brgc_rank,

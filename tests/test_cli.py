@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quasigray.cli import run_cli
 from quasigray.reports import CSV_COLUMNS
 
@@ -48,6 +50,39 @@ def test_missing_parameters_exit_2(capsys):
     assert run_cli(["cycle", "--counter", "rpgc"]) == 2
     assert run_cli(["cycle", "--counter", "doublespin", "--n", "4"]) == 2
     assert run_cli(["bench", "--counter", "rpgc"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("cycle --counter rpgc --dim 3 --n 5", "--n"),
+        ("cycle --counter lazy --n 4 --dim 9 --g 3", "--dim, --g"),
+        ("cycle --counter composite --layers 3,2 --c 4", "--c"),
+        ("cycle --counter composite --dim 5 --inner brgc", "--inner"),
+        ("cycle --counter rpgc --dim 3 --inner brgc", "--inner"),
+        ("cycle --counter doublespin --n 4 --g 1 --encoding rpgc", "--encoding"),
+        ("verify --counter brgc --dim 3 --c 2", "--c"),
+        ("bench --counter rpgc --dims 2 --ns 2", "--ns"),
+        ("bench --counter wine --ns 2 --gs 1 --dims 3", "--dims"),
+        ("bench --counter lazy --ns 2 --gs 1", "--gs"),
+        ("bench --counter composite --layers 2,2 --encoding rpgc", "--encoding"),
+        ("bench --counter doublespin --ns 2 --gs 1 --encoding rpgc", "--encoding"),
+    ],
+)
+def test_flags_the_counter_does_not_take_exit_2(capsys, command, flags):
+    assert run_cli(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"does not take {flags}\n")
+
+
+def test_flags_each_counter_takes_are_accepted(capsys):
+    for command in (
+        "cycle --counter composite --layers 2,2 --inner brgc",
+        "cycle --counter composite --dim 4 --c 1",
+        "bench --counter wine --ns 2 --gs 1 --encoding rpgc",
+    ):
+        assert run_cli(command.split()) == 0
 
 
 def test_unknown_flags_exit_2():

@@ -2,17 +2,22 @@ import pytest
 
 from quasigray import (
     BitState,
-    Layer,
-    LayerPlan,
     PreconditionError,
     ProbeLedger,
     UsageError,
     auto_plan,
-    build_layered,
-    composite_step,
     logstar_plan,
     make_composite_counter,
 )
+from quasigray.composite import (
+    _T16,
+    _T17,
+    Layer,
+    LayerPlan,
+    build_layered,
+    composite_step,
+)
+from quasigray.logmath import log_star
 
 
 def field_int(state, off, width):
@@ -119,6 +124,31 @@ def test_logstar_plan_first_threshold():
     plan = logstar_plan(1 << 17)
     assert plan.describe() == [("rpgc", 1 << 17)]
     assert plan.claimed_writes == 2
+
+
+def _recursive_logstar_layers(d):
+    """The layer split written as the recursion it is defined by."""
+    if d > 15 + _T17:
+        return _recursive_logstar_layers(d - 5) + (Layer("rpgc", 5),)
+    if d > 10 + _T17:
+        return _recursive_logstar_layers(d - 7) + (Layer("rpgc", 7),)
+    if d > 3 + _T17:
+        return _recursive_logstar_layers(d - (3 + _T16)) + (Layer("rpgc", 3 + _T16),)
+    return auto_plan(d, (log_star(d) - 3) // 2).layers
+
+
+@pytest.mark.parametrize("extra", [5, 12, 200])
+def test_logstar_plan_matches_the_recursive_split(extra):
+    d = _T17 + extra
+    assert logstar_plan(d).layers == _recursive_logstar_layers(d)
+
+
+def test_logstar_plan_peels_thousands_of_layers():
+    # one layer per 5 bits above 2^17: deeper than Python's recursion limit
+    for d in (136072, 1 << 18):
+        dims = [dim for _, dim in logstar_plan(d).describe()]
+        assert sum(dims) == d
+    assert len(dims) > 26000
 
 
 def test_logstar_plan_full_chain():

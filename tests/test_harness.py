@@ -10,19 +10,25 @@ import pytest
 
 from quasigray import (
     BitState,
+    CounterSpec,
     ProbeLedger,
     UsageError,
     check_bounds,
     collect_metrics,
     enumerate_cycle,
-    make_binary_counter,
     make_counter,
     paper_bounds,
-    standard_binary_step,
     verify_quasi_gray,
 )
-from quasigray.harness import cycle_cap_from_env, decimal_str
-from quasigray.reports import CSV_COLUMNS, csv_text, json_text, metrics_row
+from quasigray.harness import (
+    cycle_cap_from_env,
+    decimal_str,
+    flatten_report,
+    make_binary_counter,
+    standard_binary_step,
+)
+from quasigray.probes import read_field
+from quasigray.reports import CSV_COLUMNS, csv_text, json_text
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -104,6 +110,29 @@ def test_collect_metrics_needs_a_closed_report():
         collect_metrics(enumerate_cycle(make_counter("rpgc", dim=4), cap=5))
 
 
+def _rho_step(state, ledger):
+    # 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 2 on the low three bits: a tail that
+    # runs into a loop missing the initial state; higher bits stay put
+    value = read_field(state, ledger, 0, 3)
+    after = value + 1 if value < 5 else 2
+    for p in range(3):
+        ledger.write(state, p, (after >> p) & 1)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_a_run_that_never_returns_is_stopped(dim):
+    # at dim 4 each step reads 3 of the 4 bits, so after each of the six
+    # states has been stepped once, the loop is walked through the tree
+    counter = CounterSpec("rho", dim, {"dim": dim}, BitState.zeros(dim), _rho_step)
+    report = enumerate_cycle(counter)
+    assert (report.closed, report.distinct, report.last_state) == (False, False, None)
+    # the state saved at step 4 (value 4) recurs at step 8
+    assert report.length == len(report.step_reads) == 8
+    assert report.interpreted_steps == (8 if dim == 3 else 6)
+    with pytest.raises(UsageError):
+        verify_quasi_gray(report, 3)
+
+
 def test_standard_binary_step_carries():
     state = BitState.from_text("001")
     ledger = ProbeLedger()
@@ -161,7 +190,7 @@ def test_enumeration_is_deterministic():
 
 
 def test_csv_schema_and_rendering(cycle_report):
-    text = csv_text([metrics_row(cycle_report("binary", dim=3))])
+    text = csv_text([flatten_report(cycle_report("binary", dim=3))])
     header, row = text.strip().split("\n")
     assert header == ",".join(CSV_COLUMNS)
     cells = row.split(",")
@@ -194,7 +223,7 @@ def test_csv_text_matches_csv_writer():
 
 
 def test_metrics_row_tolerates_unclosed_reports():
-    row = metrics_row(enumerate_cycle(make_counter("rpgc", dim=4), cap=5))
+    row = flatten_report(enumerate_cycle(make_counter("rpgc", dim=4), cap=5))
     assert row["closed"] is False
     assert row["length"] == 5
 

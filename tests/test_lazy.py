@@ -2,13 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from quasigray import (
-    BitState,
+from quasigray import BitState, ProbeLedger, UsageError, enumerate_cycle
+from quasigray.lazy import (
     LazyLayout,
-    ProbeLedger,
-    UsageError,
     double_spin_increment,
-    enumerate_cycle,
     lazy_increment,
     make_doublespin_counter,
     make_spin_counter,

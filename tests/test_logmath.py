@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quasigray.bounds import LogLinearBound
 from quasigray.logmath import (
     compare_with_log2,
     floor_log2,
-    fraction_le_log_linear,
     is_power_of_two,
     iterated_log_at_least,
     log_star,
@@ -73,11 +73,9 @@ def test_compare_with_log2_decides_near_ties_exactly():
 
 def test_fraction_le_log_linear():
     # 6*log2(3) = 9.5097...
-    assert fraction_le_log_linear(Fraction(95, 10), Fraction(6), 3)
-    assert not fraction_le_log_linear(Fraction(96, 10), Fraction(6), 3)
-    assert fraction_le_log_linear(
-        Fraction(11), Fraction(6), 3, offset=Fraction(2)
-    )
+    assert LogLinearBound(Fraction(6), 3).admits(Fraction(95, 10))
+    assert not LogLinearBound(Fraction(6), 3).admits(Fraction(96, 10))
+    assert LogLinearBound(Fraction(6), 3, offset=Fraction(2)).admits(Fraction(11))
 
 
 @given(

@@ -2,18 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasigray import (
-    BitState,
-    ProbeLedger,
-    SubrangeView,
-    UsageError,
-    compare_equal,
-    compare_inc,
-    rpgc_decrement,
-    rpgc_decrement_pow2,
-    rpgc_increment,
-    rpgc_increment_pow2,
-)
+from quasigray import BitState, ProbeLedger
+from quasigray.rpgc import _compare_inc, _equal, rpgc_decrement, rpgc_increment
 
 
 def fresh_ledger():
@@ -29,7 +19,7 @@ def state_of(bits):
 def apply_op(bits, op):
     state = state_of(bits)
     ledger = fresh_ledger()
-    op(SubrangeView(state, 0, state.dim), ledger)
+    op(state, ledger)
     reads, writes = ledger.close_step()
     return state.bits, reads, writes
 
@@ -41,10 +31,11 @@ def successor(bits):
 
 
 def compare_pair(a_bits, b_bits, op):
+    """Run ``op`` on A = a_bits and B = b_bits, laid out side by side."""
     state = state_of(list(a_bits) + list(b_bits))
     n = len(a_bits)
     ledger = fresh_ledger()
-    result = op(SubrangeView(state, 0, n), SubrangeView(state, n, n), ledger)
+    result = op(state, ledger, 0, n, n)
     reads, _ = ledger.close_step()
     return result, reads
 
@@ -58,7 +49,7 @@ def compare_pair(a_bits, b_bits, op):
     ],
 )
 def test_compare_equal_read_counts(a, b, expected, reads):
-    result, charged = compare_pair(a, b, compare_equal)
+    result, charged = compare_pair(a, b, _equal)
     assert result is expected
     assert charged == reads
 
@@ -72,7 +63,7 @@ def test_compare_equal_read_counts(a, b, expected, reads):
     ],
 )
 def test_compare_inc_examples(a, b, expected):
-    result, _ = compare_pair(a, b, compare_inc)
+    result, _ = compare_pair(a, b, _compare_inc)
     assert result is expected
 
 
@@ -82,7 +73,7 @@ def test_compare_inc_matches_successor_oracle_exhaustively(n):
         a_bits = [(a_val >> i) & 1 for i in range(n)]
         for b_val in range(1 << n):
             b_bits = [(b_val >> i) & 1 for i in range(n)]
-            result, _ = compare_pair(a_bits, b_bits, compare_inc)
+            result, _ = compare_pair(a_bits, b_bits, _compare_inc)
             assert result == (a_bits == successor(b_bits)), (a_bits, b_bits)
 
 
@@ -91,7 +82,7 @@ def test_compare_inc_matches_successor_oracle_exhaustively(n):
     [([0], [1]), ([0, 0], [0, 1]), ([1, 1], [1, 0])],
 )
 def test_increment_pow2_examples(before, after):
-    out, _, writes = apply_op(before, rpgc_increment_pow2)
+    out, _, writes = apply_op(before, rpgc_increment)
     assert out == after
     assert writes == 1
 
@@ -101,7 +92,7 @@ def test_increment_pow2_examples(before, after):
     [([0, 1], [0, 0]), ([1, 0], [1, 1])],
 )
 def test_decrement_pow2_examples(before, after):
-    out, _, writes = apply_op(before, rpgc_decrement_pow2)
+    out, _, writes = apply_op(before, rpgc_decrement)
     assert out == after
     assert writes == 1
 
@@ -135,33 +126,6 @@ def test_decrement_inverts_increment_on_every_state(n):
     for value in range(1 << n):
         bits = [(value >> i) & 1 for i in range(n)]
         assert apply_op(successor(bits), rpgc_decrement)[0] == bits
-
-
-def test_pow2_ops_reject_other_lengths():
-    state = BitState.zeros(3)
-    with pytest.raises(UsageError):
-        rpgc_increment_pow2(SubrangeView(state, 0, 3), fresh_ledger())
-
-
-def test_compare_rejects_mismatched_views():
-    state = BitState.zeros(6)
-    other = BitState.zeros(6)
-    with pytest.raises(UsageError):
-        compare_equal(
-            SubrangeView(state, 0, 2), SubrangeView(state, 2, 3), fresh_ledger()
-        )
-    with pytest.raises(UsageError):
-        compare_inc(
-            SubrangeView(state, 0, 2), SubrangeView(other, 0, 2), fresh_ledger()
-        )
-
-
-def test_view_bounds_checked():
-    state = BitState.zeros(4)
-    with pytest.raises(UsageError):
-        SubrangeView(state, 3, 2)
-    with pytest.raises(UsageError):
-        SubrangeView(state, 0, 0)
 
 
 @pytest.mark.parametrize("d", range(2, 15))
