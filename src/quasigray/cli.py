@@ -143,7 +143,7 @@ def _write_rows(
 
 def _cmd_list() -> int:
     for name in sorted(COUNTER_SCHEMAS):
-        print(f"{name:<12} {COUNTER_SCHEMAS[name]}")
+        print(f"{name:<12} {COUNTER_SCHEMAS[name][0]}")
     return 0
 
 
@@ -191,13 +191,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _bench_configs(args: argparse.Namespace) -> List[Dict[str, object]]:
     name = args.counter
-    # the sweep flags stand for the make_counter parameters dim, n and g
-    flags = {"dim": "--dims", "n": "--ns", "g": "--gs"}
-    given = dict(dim=args.dims, n=args.ns, g=args.gs)
-    given.update(layers=args.layers, inner=args.inner, encoding=args.encoding)
+    # --dims, --ns and --gs sweep the make_counter parameters dim, n and g
+    sweeps = dict(dim=args.dims, n=args.ns, g=args.gs)
+    given = dict(sweeps, layers=args.layers, inner=args.inner, encoding=args.encoding)
     unused = unused_params(name, given)
     if unused:
-        text = ", ".join(flags.get(key, "--" + key) for key in unused)
+        text = ", ".join(f"--{key}s" if key in sweeps else f"--{key}" for key in unused)
         raise UsageError(f"bench --counter {name} does not take {text}")
     if name in ("binary", "brgc", "rpgc"):
         if not args.dims:

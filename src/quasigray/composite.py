@@ -128,20 +128,25 @@ def auto_plan(d: int, c: int) -> LayerPlan:
 
 _T16 = 1 << 16
 _T17 = 1 << 17
+# (threshold, outer layer peeled while d is above it, offset added to
+# log* d in the write claim), highest threshold first
+_PEELS = ((15 + _T17, 5, 5), (10 + _T17, 7, 3), (3 + _T17, 3 + _T16, 1))
+
+
+def _peel(d: int) -> Tuple[int, int]:
+    """The outer layer to peel from d (0 at or below 3 + 2^17) and the
+    write claim's offset."""
+    return next(((peel, k) for t, peel, k in _PEELS if d > t), (0, -1))
 
 
 def _logstar_layers(d: int) -> Tuple[Layer, ...]:
     # peel fixed outer layers while d is above a threshold, outermost first
     outer = []
-    while d > 3 + _T17:
-        if d > 15 + _T17:
-            peel = 5
-        elif d > 10 + _T17:
-            peel = 7
-        else:
-            peel = 3 + _T16
+    peel = _peel(d)[0]
+    while peel:
         outer.append(Layer("rpgc", peel))
         d -= peel
+        peel = _peel(d)[0]
     c = (log_star(d) - 3) // 2
     return auto_plan(d, c).layers + tuple(reversed(outer))
 
@@ -155,15 +160,7 @@ def logstar_plan(d: int) -> LayerPlan:
         raise PreconditionError(
             f"d > 2^16 required (log*({d}) = {log_star(d)} leaves no write budget)"
         )
-    ls = log_star(d)
-    if d > 15 + _T17:
-        claim = (ls + 5) // 2
-    elif d > 10 + _T17:
-        claim = (ls + 3) // 2
-    elif d > 3 + _T17:
-        claim = (ls + 1) // 2
-    else:
-        claim = (ls - 1) // 2
+    claim = (log_star(d) + _peel(d)[1]) // 2
     return LayerPlan(_logstar_layers(d), claimed_writes=claim)
 
 

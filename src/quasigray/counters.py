@@ -16,37 +16,39 @@ from .lazy import (
 from .probes import CounterSpec, UsageError
 from .rpgc import make_rpgc_counter
 
+# per counter: the line `list` prints, and the make_counter parameters it
+# takes; composite takes one of two sets, the first whose leading parameter
+# is given (else the first set)
 COUNTER_SCHEMAS = {
-    "binary": "--dim D            standard binary counter (folklore baseline)",
-    "brgc": "--dim D            binary reflected Gray code",
-    "rpgc": "--dim D            recursive partition Gray code",
-    "composite": "--layers A,B,..    layered plan, innermost first (--inner rpgc|brgc);"
-    " or --dim D --c C for the planned split",
-    "lazy": "--n N              base lazy counter (N a power of two >= 2)",
-    "spin": "--n N              lazy counter with a one-bit spin phase",
-    "doublespin": "--n N --g G        lazy counter with a G-bit spin phase",
-    "wine": "--n N --g G        Gray-coded spin counter (write cap 3);"
-    " optional --encoding brgc|rpgc",
-}
-
-# the make_counter parameters each counter takes; composite takes one of two
-# sets, the first whose leading parameter is given (else the first set)
-COUNTER_PARAMS = {
-    "binary": [("dim",)],
-    "brgc": [("dim",)],
-    "rpgc": [("dim",)],
-    "composite": [("layers", "inner"), ("dim", "c")],
-    "lazy": [("n",)],
-    "spin": [("n",)],
-    "doublespin": [("n", "g")],
-    "wine": [("n", "g", "encoding")],
+    "binary": (
+        "--dim D            standard binary counter (folklore baseline)",
+        [("dim",)],
+    ),
+    "brgc": ("--dim D            binary reflected Gray code", [("dim",)]),
+    "rpgc": ("--dim D            recursive partition Gray code", [("dim",)]),
+    "composite": (
+        "--layers A,B,..    layered plan, innermost first (--inner rpgc|brgc);"
+        " or --dim D --c C for the planned split",
+        [("layers", "inner"), ("dim", "c")],
+    ),
+    "lazy": ("--n N              base lazy counter (N a power of two >= 2)", [("n",)]),
+    "spin": ("--n N              lazy counter with a one-bit spin phase", [("n",)]),
+    "doublespin": (
+        "--n N --g G        lazy counter with a G-bit spin phase",
+        [("n", "g")],
+    ),
+    "wine": (
+        "--n N --g G        Gray-coded spin counter (write cap 3);"
+        " optional --encoding brgc|rpgc",
+        [("n", "g", "encoding")],
+    ),
 }
 
 
 def unused_params(name: str, given: Dict[str, object]) -> List[str]:
     """The parameters in ``given`` that are set but that counter ``name``
     does not take."""
-    options = COUNTER_PARAMS[name]
+    options = COUNTER_SCHEMAS[name][1]
     taken = next((opt for opt in options if given.get(opt[0]) is not None), options[0])
     return [key for key, value in given.items() if value is not None and key not in taken]
 

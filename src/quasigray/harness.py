@@ -40,9 +40,11 @@ class CycleReport:
     """Everything measured over one enumeration.
 
     ``length`` counts the steps taken; when ``closed`` it equals the cycle
-    length L (first return to the initial state). ``distinct`` is False
-    only once a repeat was detected. ``last_state`` is the canonical text
-    of the state visited just before that return.
+    length L (first return to the initial state). ``distinct`` certifies
+    the states distinct only on a closed run; on a run the cap cut short it
+    means no repeat was detected, not that none occurred, and it is False
+    once one was. ``last_state`` is the canonical text of the state visited
+    just before that return.
     """
 
     counter: str
@@ -127,6 +129,8 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     one saved at the last power-of-two step. Such a run stops with
     ``closed = distinct = False``, and its ``length`` is the step at which
     the repeat was detected, which may lie past the first repeated state.
+    A run the cap stops before that step reports ``distinct = True``
+    without having checked it.
 
     The run grows a decision tree over the state's bits from the steps it
     interprets: a node is ``(position, child0, child1)`` in a flat array, a

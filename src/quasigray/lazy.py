@@ -164,11 +164,18 @@ def lazy_increment(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> 
 
 
 def spin_increment(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> None:
-    """Spin i through all values while k = 0, then run real increments: the
-    one-bit phase case of :func:`double_spin_increment`."""
+    """Spin i through all values while k = 0, then run real increments."""
     if layout.g != 1:
         raise UsageError("spin_increment uses a layout with g = 1")
-    double_spin_increment(layout, state, ledger)
+    if layout.encoding != "binary":
+        raise UsageError("spin_increment uses binary fields")
+    k_off = layout.k_offset
+    if ledger.read(state, k_off) == 0:
+        if increment_field(state, ledger, layout.i_offset, layout.width):
+            ledger.write(state, k_off, 1)
+    else:
+        if _lazy_core(state, ledger, layout.n, layout.width) == 0:
+            ledger.write(state, k_off, 0)
 
 
 def double_spin_increment(

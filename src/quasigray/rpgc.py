@@ -96,32 +96,9 @@ def _compare_inc(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) 
     return led.read(s, off_a) == 1 and _compare_inc(s, led, off_b + 1, off_a + 1, m)
 
 
-def _inc_pow2(s: BitState, led: ProbeLedger, off: int, n: int) -> None:
-    while n > 1:
-        h = n >> 1
-        if _equal(s, led, off, off + h, h):
-            _dec_pow2(s, led, off + h, h)
-            return
-        n = h
-    led.write(s, off, led.read(s, off) ^ 1)
-
-
-def _dec_pow2(s: BitState, led: ProbeLedger, off: int, n: int) -> None:
-    while n > 1:
-        h = n >> 1
-        if _compare_inc(s, led, off, off + h, h):
-            _inc_pow2(s, led, off + h, h)
-            return
-        n = h
-    led.write(s, off, led.read(s, off) ^ 1)
-
-
 def _inc(s: BitState, led: ProbeLedger, off: int, n: int) -> None:
     if n == 1:
         led.write(s, off, led.read(s, off) ^ 1)
-        return
-    if n & (n - 1) == 0:
-        _inc_pow2(s, led, off, n)
         return
     if n & 1:
         m = n - 1
@@ -146,9 +123,6 @@ def _inc(s: BitState, led: ProbeLedger, off: int, n: int) -> None:
 def _dec(s: BitState, led: ProbeLedger, off: int, n: int) -> None:
     if n == 1:
         led.write(s, off, led.read(s, off) ^ 1)
-        return
-    if n & (n - 1) == 0:
-        _dec_pow2(s, led, off, n)
         return
     if n & 1:
         m = n - 1

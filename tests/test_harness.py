@@ -131,6 +131,10 @@ def test_a_run_that_never_returns_is_stopped(dim):
     assert report.interpreted_steps == (8 if dim == 3 else 6)
     with pytest.raises(UsageError):
         verify_quasi_gray(report, 3)
+    # state 2 recurs at step 6, but a cap of 7 stops the run before the
+    # saved state comes round: an unclosed row whose distinct is unchecked
+    capped = enumerate_cycle(counter, cap=7)
+    assert (capped.length, capped.closed, capped.distinct) == (7, False, True)
 
 
 def test_standard_binary_step_carries():
