@@ -13,58 +13,55 @@ from .probes import BitState, CounterSpec, ProbeLedger, UsageError
 
 
 def _scan(state: BitState, ledger: ProbeLedger, off: int, n: int):
-    """Read every bit from ``off`` upward: the parity and the lowest 1 (-1 if none)."""
-    parity = 0
-    low_one = -1
-    for j in range(n):
-        v = ledger.read(state, off + j)
-        parity ^= v
-        if v and low_one < 0:
-            low_one = j
-    return parity, low_one
+    """Read every bit from ``off`` upward: the bits, their parity and the
+    lowest 1 (-1 if none)."""
+    vals = ledger.read_run(state, off, n)
+    return vals, sum(vals) & 1, vals.index(1) if 1 in vals else -1
+
+
+# The flips below take the old bit from the scan's values: every bit is
+# already charged, so consulting it again costs nothing.
 
 
 def _next_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
-    parity, low_one = _scan(state, ledger, off, n)
+    vals, parity, low_one = _scan(state, ledger, off, n)
     if parity == 0:
-        ledger.write(state, off, ledger.read(state, off) ^ 1)
+        ledger.write(state, off, vals[0] ^ 1)
     elif low_one == n - 1:
         # state 100...0 wraps to all zeros
         ledger.write(state, off + n - 1, 0)
     else:
-        pos = off + low_one + 1
-        ledger.write(state, pos, ledger.read(state, pos) ^ 1)
+        ledger.write(state, off + low_one + 1, vals[low_one + 1] ^ 1)
 
 
 def _prev_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
-    parity, low_one = _scan(state, ledger, off, n)
+    vals, parity, low_one = _scan(state, ledger, off, n)
     if parity == 1:
-        ledger.write(state, off, ledger.read(state, off) ^ 1)
+        ledger.write(state, off, vals[0] ^ 1)
     elif low_one < 0:
         # all zeros wraps back to 100...0
         ledger.write(state, off + n - 1, 1)
     else:
-        pos = off + low_one + 1
-        ledger.write(state, pos, ledger.read(state, pos) ^ 1)
+        ledger.write(state, off + low_one + 1, vals[low_one + 1] ^ 1)
+
+
+def _gray_rank(vals: list) -> int:
+    # rank bit j is the parity of Gray bits j and above
+    r = 0
+    acc = 0
+    for v in reversed(vals):
+        acc ^= v
+        r = (r << 1) | acc
+    return r
 
 
 def _rank_range(state: BitState, off: int, n: int) -> int:
-    bits = state.bits
-    r = 0
-    acc = 0
-    for j in range(n - 1, -1, -1):
-        acc ^= bits[off + j]
-        r = (r << 1) | acc
-    return r
+    # the untracked oracle: the one place a counter module reads bits directly
+    return _gray_rank(state.bits[off : off + n])
 
 
 def _rank_range_tracked(state: BitState, ledger: ProbeLedger, off: int, n: int) -> int:
-    r = 0
-    acc = 0
-    for j in range(n - 1, -1, -1):
-        acc ^= ledger.read(state, off + j)
-        r = (r << 1) | acc
-    return r
+    return _gray_rank(ledger.read_run(state, off, n))
 
 
 def brgc_next(state: BitState, ledger: ProbeLedger) -> None:

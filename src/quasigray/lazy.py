@@ -189,11 +189,8 @@ def double_spin_increment(
     k_off = layout.k_offset
     # k < 2^g - 1 iff some bit of k is 0; scan low to high, so only the
     # rare all-ones case reads all g bits
-    first_zero = -1
-    for j in range(layout.g):
-        if ledger.read(state, k_off + j) == 0:
-            first_zero = j
-            break
+    kvals = ledger.read_run(state, k_off, layout.g, 0)
+    first_zero = len(kvals) - 1 if kvals[-1] == 0 else -1
     if first_zero >= 0:
         if increment_field(state, ledger, layout.i_offset, layout.width):
             # k+1 touches exactly the bits the scan above already read

@@ -2,16 +2,24 @@
 
 Bound checks in this package compare exact rationals against values like
 ``6*log2(d)``, which are irrational for most d. The comparisons here are
-certified with pure integer arithmetic (``2**a <= d**K`` style tests at an
-escalating grid), so a reported pass or fail is never a float artifact.
+certified with exact arithmetic (``2**a <= d**K`` style tests at an
+escalating grid, then correctly rounded logarithms under a proved error
+bound once the powers grow large), so a reported pass or fail is never a
+float artifact.
 """
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Optional
 
 from .probes import UsageError
+
+
+# Largest power arg**k, in bits, that compare_with_log2 builds exactly;
+# a few milliseconds to build at this size.
+POWER_BIT_BUDGET = 1 << 18
 
 
 def floor_log2(n: int) -> int:
@@ -72,7 +80,10 @@ def compare_with_log2(value: Fraction, arg: int) -> int:
     irrational, so equality is impossible: the grid rounds below separate
     any value that is not very close to it, and a round at k = den decides
     every value, because both grid points are then num itself and
-    ``2**num`` never equals ``arg**den``.
+    ``2**num`` never equals ``arg**den``. A round is run only while
+    ``arg**k`` stays within :data:`POWER_BIT_BUDGET` bits; past it,
+    :func:`_ln_sign` decides with rounded logarithms and a proved error
+    bound.
     """
     if arg < 1:
         raise UsageError(f"log2 argument must be >= 1, got {arg}")
@@ -85,6 +96,8 @@ def compare_with_log2(value: Fraction, arg: int) -> int:
     k = 1
     while True:
         k = min(k, den)
+        if k * arg.bit_length() > POWER_BIT_BUDGET:
+            return _ln_sign(num, den, arg)
         power = arg**k
         ceil_a = -((-num * k) // den)
         if (1 << ceil_a) <= power:  # ceil_a/k <= log2(arg), so value <= it too
@@ -93,3 +106,24 @@ def compare_with_log2(value: Fraction, arg: int) -> int:
         if (1 << floor_b) >= power:  # floor_b/k >= log2(arg), so value >= it
             return 1
         k <<= 6
+
+
+def _ln_sign(num: int, den: int, arg: int) -> int:
+    """Sign of ``num*ln(2) - den*ln(arg)`` for positive num and den and arg
+    not a power of two, where it is never 0.
+
+    ``Decimal.ln`` rounds correctly, so each logarithm taken to ``prec``
+    digits is within half a unit in its last place of the true value, which
+    is at most ``x * 10**(1 - prec)`` for the rounded value x. The products
+    and the difference are then formed exactly, and the sign is taken only
+    when the gap exceeds the sum of both error bounds; otherwise the
+    precision doubles.
+    """
+    prec = 40
+    while True:
+        ctx = Context(prec=prec, rounding=ROUND_HALF_EVEN)
+        a = num * Fraction(Decimal(2).ln(ctx))
+        b = den * Fraction(Decimal(arg).ln(ctx))
+        if abs(a - b) > (a + b) / 10 ** (prec - 1):
+            return 1 if a > b else -1
+        prec *= 2

@@ -141,6 +141,39 @@ class ProbeLedger:
             rs.add(pos)
         return state.bits[pos]
 
+    def read_run(self, state: BitState, off: int, width: int, stop: int = -1) -> list:
+        """Tracked reads of bits ``off, off+1, ...``: all ``width`` of them,
+        or up to and including the first bit equal to ``stop`` (0 or 1).
+
+        Returns the bits read. Charges, values and errors are exactly those
+        of the same loop of :meth:`read`; only positions actually read are
+        checked.
+        """
+        if width <= 0:
+            return []
+        if not self._open:
+            raise UsageError("no open step")
+        dim = state.dim
+        if off < 0 or off >= dim:
+            raise UsageError(f"read position {off} out of range for dim {dim}")
+        bits = state.bits
+        end = off + width
+        overrun = end > dim
+        if overrun:
+            end = dim
+        if stop >= 0:
+            try:
+                end = bits.index(stop, off, end) + 1
+                overrun = False
+            except ValueError:
+                pass
+        run = range(off, end)
+        ws = self.write_set
+        self.read_set.update(set(run) - ws if ws else run)
+        if overrun:
+            raise UsageError(f"read position {dim} out of range for dim {dim}")
+        return bits[off:end]
+
     def write(self, state: BitState, pos: int, val: int) -> None:
         """Tracked write; blind (does not charge a read)."""
         if not self._open:
@@ -178,30 +211,25 @@ class ProbeLedger:
 def read_field(state: BitState, ledger: ProbeLedger, off: int, width: int) -> int:
     """The field as an integer with bit ``off`` lowest; reads every bit."""
     value = 0
-    for j in range(width):
-        value |= ledger.read(state, off + j) << j
+    for j, v in enumerate(ledger.read_run(state, off, width)):
+        value |= v << j
     return value
 
 
 def field_is_zero(state: BitState, ledger: ProbeLedger, off: int, width: int) -> bool:
     """All-zeros test that stops at the first 1."""
-    for j in range(width):
-        if ledger.read(state, off + j):
-            return False
-    return True
+    return 1 not in ledger.read_run(state, off, width, 1)
 
 
 def increment_field(state: BitState, ledger: ProbeLedger, off: int, width: int) -> bool:
     """Binary increment with carry: flip 1s upward until a 0 is flipped to
     1. Reads = writes = chain length. Returns True when the field wraps to
     all zeros."""
-    for j in range(width):
-        if ledger.read(state, off + j):
-            ledger.write(state, off + j, 0)
-        else:
-            ledger.write(state, off + j, 1)
-            return False
-    return True
+    vals = ledger.read_run(state, off, width, 0)
+    # the chain is the 1s below the first 0 and that 0: flip each of them
+    for j, v in enumerate(vals):
+        ledger.write(state, off + j, v ^ 1)
+    return 0 not in vals
 
 
 AdvanceFn = Callable[[BitState, ProbeLedger], None]

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from quasigray.bounds import LogLinearBound
 from quasigray.logmath import (
+    _ln_sign,
     compare_with_log2,
     floor_log2,
     is_power_of_two,
@@ -69,6 +71,29 @@ def test_compare_with_log2_decides_near_ties_exactly():
     # k up to 2**24 cannot separate the two, and the round at k = den does
     assert compare_with_log2(Fraction(126797, 80000), 3) == -1
     assert compare_with_log2(Fraction(126798, 80000), 3) == 1
+
+
+def test_compare_with_log2_near_ties_with_huge_denominators_finish():
+    # den 10**9 would need 3**(10**9), a 1.6 Gbit power, in the grid round
+    # at k = den; the rounded-logarithm test decides instead
+    centre = Fraction(126797, 80000)
+    for delta, expected in ((Fraction(1, 10**9), 1), (Fraction(-1, 10**9), -1)):
+        start = time.perf_counter()
+        assert compare_with_log2(centre + delta, 3) == expected
+        assert time.perf_counter() - start < 1.0
+
+
+@given(
+    st.integers(min_value=1, max_value=4000),
+    st.integers(min_value=-2, max_value=3),
+    st.sampled_from([3, 5, 6, 7, 10, 1000, 12345]),
+)
+def test_ln_sign_agrees_with_the_exact_power_test(den, shift, arg):
+    # num within a few units of den * log2(arg) puts the pair near a tie
+    power = arg**den
+    num = max(1, power.bit_length() - 1 + shift)
+    expected = 1 if (1 << num) > power else -1
+    assert _ln_sign(num, den, arg) == expected
 
 
 def test_fraction_le_log_linear():

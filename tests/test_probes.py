@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasigray import BitState, ProbeLedger, UsageError
+from quasigray import brgc, composite, lazy, rpgc
 
 
 def make_pair(dim=4):
@@ -120,3 +124,96 @@ def test_bitstate_text_round_trip(bits):
     s = BitState(len(bits), bits)
     assert BitState.from_text(s.to_text()) == s
     assert BitState.from_int(s.to_int(), s.dim) == s
+
+
+def _loop_of_read(state, ledger, off, width, stop):
+    out = []
+    for j in range(width):
+        v = ledger.read(state, off + j)
+        out.append(v)
+        if v == stop:
+            break
+    return out
+
+
+def _outcome(call, state, ledger, *args):
+    try:
+        result = call(state, ledger, *args)
+    except UsageError as exc:
+        result = ("UsageError", str(exc))
+    return result, set(ledger.read_set), set(ledger.write_set), list(state.bits)
+
+
+@st.composite
+def _run_cases(draw):
+    dim = draw(st.integers(min_value=1, max_value=12))
+    bits = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
+    position = st.integers(min_value=0, max_value=dim - 1)
+    reads = draw(st.lists(position, max_size=dim))
+    writes = draw(st.lists(st.tuples(position, st.integers(0, 1)), max_size=dim))
+    off = draw(st.integers(min_value=-1, max_value=dim))
+    width = draw(st.integers(min_value=0, max_value=dim + 1))
+    stop = draw(st.sampled_from([-1, 0, 1]))
+    return dim, bits, reads, writes, off, width, stop
+
+
+@settings(max_examples=1000)
+@given(_run_cases())
+def test_read_run_charges_like_the_loop_of_read(case):
+    dim, bits, reads, writes, off, width, stop = case
+    outcomes = []
+    for call in (
+        _loop_of_read,
+        lambda s, led, *args: led.read_run(s, *args),
+    ):
+        state = BitState(dim, bits)
+        ledger = ProbeLedger()
+        ledger.open_step()
+        for pos in reads:
+            ledger.read(state, pos)
+        for pos, val in writes:
+            ledger.write(state, pos, val)
+        outcomes.append(_outcome(call, state, ledger, off, width, stop))
+    assert outcomes[1] == outcomes[0]
+
+
+def test_read_run_outside_a_step_is_a_usage_error():
+    state = BitState.zeros(3)
+    ledger = ProbeLedger()
+    with pytest.raises(UsageError, match="no open step"):
+        ledger.read_run(state, 0, 2)
+    assert ledger.read_set == set()
+
+
+# Step code reaches a state's bits only through the ledger. These are the
+# attributes of BitState that expose its bits in bulk, and the only places in
+# the counter modules allowed to use them: brgc's untracked rank oracle, and
+# the rank table lazy builds for an rpgc sub-code before any step runs.
+BULK_VIEWS = {"bits", "to_int", "to_text", "copy"}
+BULK_VIEW_ALLOWED = {
+    ("brgc", "_rank_range", "bits"),
+    ("lazy", "_rpgc_rank_table", "to_int"),
+}
+
+
+def _bulk_view_uses(module):
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr in BULK_VIEWS:
+            found.add((module.__name__.rsplit(".", 1)[1], where, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_counter_modules_see_bits_only_through_the_ledger():
+    found = set()
+    for module in (brgc, rpgc, lazy, composite):
+        found |= _bulk_view_uses(module)
+    assert found == BULK_VIEW_ALLOWED
