@@ -2,6 +2,9 @@
 
 The successor rule reads every bit (the parity decides which bit flips) and
 writes exactly one, so a full step always charges dim reads and 1 write.
+The predecessor is the successor with the parity test reversed, so one
+step function, ``_step_range``, takes the direction.
+
 rank/unrank use the closed form ``gray = r XOR (r >> 1)`` and serve as the
 independent oracle for the step functions; they are pure unless the
 ledger-charging variant is requested.
@@ -12,37 +15,19 @@ from __future__ import annotations
 from .probes import BitState, CounterSpec, ProbeLedger, UsageError
 
 
-def _scan(state: BitState, ledger: ProbeLedger, off: int, n: int):
-    """Read every bit from ``off`` upward: the bits, their parity and the
-    lowest 1 (-1 if none)."""
+def _step_range(state: BitState, ledger: ProbeLedger, off: int, n: int, up: bool) -> None:
+    """One step on bits [off, off + n), forward when ``up``: read every bit,
+    then flip bit 0 when the parity differs from ``up``, else the bit above
+    the lowest 1, or the top bit across the wrap between 100...0 and all
+    zeros. The flip takes the old bit from the bits read, which are already
+    charged, so consulting it again costs nothing."""
     vals = ledger.read_run(state, off, n)
-    return vals, sum(vals) & 1, vals.index(1) if 1 in vals else -1
-
-
-# The flips below take the old bit from the scan's values: every bit is
-# already charged, so consulting it again costs nothing.
-
-
-def _next_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
-    vals, parity, low_one = _scan(state, ledger, off, n)
-    if parity == 0:
-        ledger.write(state, off, vals[0] ^ 1)
-    elif low_one == n - 1:
-        # state 100...0 wraps to all zeros
-        ledger.write(state, off + n - 1, 0)
+    if sum(vals) & 1 != up:
+        j = 0
     else:
-        ledger.write(state, off + low_one + 1, vals[low_one + 1] ^ 1)
-
-
-def _prev_range(state: BitState, ledger: ProbeLedger, off: int, n: int) -> None:
-    vals, parity, low_one = _scan(state, ledger, off, n)
-    if parity == 1:
-        ledger.write(state, off, vals[0] ^ 1)
-    elif low_one < 0:
-        # all zeros wraps back to 100...0
-        ledger.write(state, off + n - 1, 1)
-    else:
-        ledger.write(state, off + low_one + 1, vals[low_one + 1] ^ 1)
+        low_one = vals.index(1) if 1 in vals else -1
+        j = n - 1 if low_one in (-1, n - 1) else low_one + 1
+    ledger.write(state, off + j, vals[j] ^ 1)
 
 
 def _gray_rank(vals: list) -> int:
@@ -66,12 +51,12 @@ def _rank_range_tracked(state: BitState, ledger: ProbeLedger, off: int, n: int) 
 
 def brgc_next(state: BitState, ledger: ProbeLedger) -> None:
     """Advance one step in the cyclic BRGC (reads dim bits, writes 1)."""
-    _next_range(state, ledger, 0, state.dim)
+    _step_range(state, ledger, 0, state.dim, True)
 
 
 def brgc_prev(state: BitState, ledger: ProbeLedger) -> None:
     """Inverse of :func:`brgc_next` (reads dim bits, writes 1)."""
-    _prev_range(state, ledger, 0, state.dim)
+    _step_range(state, ledger, 0, state.dim, False)
 
 
 def brgc_rank(state: BitState) -> int:
@@ -96,8 +81,6 @@ def brgc_unrank(r: int, dim: int) -> BitState:
 
 
 def make_brgc_counter(dim: int) -> CounterSpec:
-    if dim < 1:
-        raise UsageError(f"dimension must be >= 1, got {dim}")
     return CounterSpec(
         name="brgc",
         dim=dim,

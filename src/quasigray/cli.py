@@ -12,12 +12,13 @@ files. QUASIGRAY_CYCLE_CAP overrides the enumeration cap.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import Dict, List, Optional, Sequence
 
 from .bounds import check_bounds, paper_bounds
-from .composite import PreconditionError
-from .counters import COUNTER_SCHEMAS, make_counter, unused_params
+from .composite import GRAY_STEPS, PreconditionError
+from .counters import COUNTERS, make_counter, select_form
 from .harness import cycle_cap_from_env, enumerate_cycle, flatten_report, verify_quasi_gray
 from .probes import UsageError
 from .reports import build_table1_rows, csv_text, json_text, summary_text
@@ -58,15 +59,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="print available counters and their parameters")
 
+    kinds = sorted(GRAY_STEPS)
+
     def add_selector(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--counter", required=True, choices=sorted(COUNTER_SCHEMAS))
+        p.add_argument("--counter", required=True, choices=sorted(COUNTERS))
         p.add_argument("--dim", type=int)
         p.add_argument("--n", type=int)
         p.add_argument("--g", type=int)
         p.add_argument("--c", type=int)
         p.add_argument("--layers", help="comma-separated layer dims, innermost first")
-        p.add_argument("--inner", choices=["rpgc", "brgc"])
-        p.add_argument("--encoding", choices=["brgc", "rpgc"])
+        p.add_argument("--inner", choices=kinds)
+        p.add_argument("--encoding", choices=kinds)
         p.add_argument("--cap", type=int, help="enumeration step cap")
 
     cycle = sub.add_parser("cycle", help="enumerate one counter and emit its report")
@@ -80,13 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_selector(verify)
 
     bench = sub.add_parser("bench", help="sweep a parameter grid, one row per config")
-    bench.add_argument("--counter", required=True, choices=sorted(COUNTER_SCHEMAS))
+    bench.add_argument("--counter", required=True, choices=sorted(COUNTERS))
     bench.add_argument("--dims", help="dims to sweep, e.g. 2-10 or 2,4,8")
     bench.add_argument("--ns", help="n values to sweep, e.g. 2,4,8,16")
     bench.add_argument("--gs", help="g values to sweep, e.g. 1-3")
     bench.add_argument("--layers", help="single layered config, innermost first")
-    bench.add_argument("--inner", choices=["rpgc", "brgc"])
-    bench.add_argument("--encoding", choices=["brgc", "rpgc"])
+    bench.add_argument("--inner", choices=kinds)
+    bench.add_argument("--encoding", choices=kinds)
     bench.add_argument("--cap", type=int)
     bench.add_argument("--emit", choices=["csv", "json"], default="csv")
     bench.add_argument("--output")
@@ -142,8 +145,8 @@ def _write_rows(
 
 
 def _cmd_list() -> int:
-    for name in sorted(COUNTER_SCHEMAS):
-        print(f"{name:<12} {COUNTER_SCHEMAS[name][0]}")
+    for name in sorted(COUNTERS):
+        print(f"{name:<12} {COUNTERS[name][0]}")
     return 0
 
 
@@ -189,44 +192,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# bench sweeps these make_counter parameters, each through its plural flag
+SWEPT = ("dim", "n", "g")
+
+
 def _bench_configs(args: argparse.Namespace) -> List[Dict[str, object]]:
+    """One make_counter keyword set per point of the grid; only the
+    counter's first form can be swept."""
     name = args.counter
-    # --dims, --ns and --gs sweep the make_counter parameters dim, n and g
-    sweeps = dict(dim=args.dims, n=args.ns, g=args.gs)
-    given = dict(sweeps, layers=args.layers, inner=args.inner, encoding=args.encoding)
-    unused = unused_params(name, given)
-    if unused:
-        text = ", ".join(f"--{key}s" if key in sweeps else f"--{key}" for key in unused)
-        raise UsageError(f"bench --counter {name} does not take {text}")
-    if name in ("binary", "brgc", "rpgc"):
-        if not args.dims:
-            raise UsageError(f"bench --counter {name} needs --dims")
-        return [{"dim": d} for d in sorted(_parse_int_list(args.dims, "--dims"))]
-    if name == "composite":
-        if not args.layers:
-            raise UsageError("bench --counter composite needs --layers")
-        return [
-            {
-                "layers": _parse_int_list(args.layers, "--layers"),
-                "inner": args.inner,
-            }
-        ]
-    if not args.ns:
-        raise UsageError(f"bench --counter {name} needs --ns")
-    ns = sorted(_parse_int_list(args.ns, "--ns"))
-    if name in ("lazy", "spin"):
-        return [{"n": n} for n in ns]
-    if not args.gs:
-        raise UsageError(f"bench --counter {name} needs --gs")
-    gs = sorted(_parse_int_list(args.gs, "--gs"))
-    configs = []
-    for n in ns:
-        for g in gs:
-            cfg: Dict[str, object] = {"n": n, "g": g}
-            if args.encoding:
-                cfg["encoding"] = args.encoding
-            configs.append(cfg)
-    return configs
+    params = dict(dim=args.dims, n=args.ns, g=args.gs, layers=args.layers)
+    params.update(inner=args.inner, encoding=args.encoding)
+    keys, _ = select_form(COUNTERS[name][1][:1], params, f"bench --counter {name}", SWEPT)
+    axes = []
+    for key in keys:
+        if key in SWEPT:
+            axes.append(sorted(_parse_int_list(params[key], f"--{key}s")))
+        elif key == "layers":
+            axes.append([_parse_int_list(params[key], "--layers")])
+        else:
+            axes.append([params[key]])
+    return [dict(zip(keys, point)) for point in itertools.product(*axes)]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -263,10 +248,7 @@ def run_cli(argv: Sequence[str]) -> int:
             return _cmd_bench(args)
         if args.verb == "table1":
             return _cmd_table1(args)
-    except (UsageError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled verb {args.verb!r}")

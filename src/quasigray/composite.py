@@ -22,7 +22,9 @@ from . import brgc, rpgc
 from .logmath import iterated_floor_log, iterated_log_at_least, log_star
 from .probes import BitState, CounterSpec, ProbeLedger, UsageError, field_is_zero
 
-LAYER_KINDS = ("rpgc", "brgc")
+# the Gray sub-code kinds a layer or a lazy sub-field may use, each mapped
+# to its step on a bit range: (state, ledger, offset, width, forward)
+GRAY_STEPS = {"rpgc": rpgc._step, "brgc": brgc._step_range}
 
 
 class PreconditionError(Exception):
@@ -45,7 +47,7 @@ class LayerPlan:
         if not layers:
             raise UsageError("a plan needs at least one layer")
         for lay in layers:
-            if lay.kind not in LAYER_KINDS:
+            if lay.kind not in GRAY_STEPS:
                 raise UsageError(f"unknown layer kind {lay.kind!r}")
             if lay.dim < 1:
                 raise UsageError(f"layer dim must be >= 1, got {lay.dim}")
@@ -78,10 +80,7 @@ def composite_step(plan: LayerPlan, state: BitState, ledger: ProbeLedger) -> Non
     while True:
         lay = plan.layers[idx]
         off = plan.offsets[idx]
-        if lay.kind == "rpgc":
-            rpgc._inc(state, ledger, off, lay.dim)
-        else:
-            brgc._next_range(state, ledger, off, lay.dim)
+        GRAY_STEPS[lay.kind](state, ledger, off, lay.dim, True)
         if idx == 0 or not field_is_zero(state, ledger, off, lay.dim):
             return
         idx -= 1
@@ -92,8 +91,8 @@ def build_layered(dims: Sequence[int], inner_kind: str = "rpgc") -> LayerPlan:
     are always RPGC; ``inner_kind`` selects the innermost code."""
     if not dims:
         raise UsageError("dims must be non-empty")
-    if inner_kind not in LAYER_KINDS:
-        raise UsageError(f"inner kind must be one of {LAYER_KINDS}, got {inner_kind!r}")
+    if inner_kind not in GRAY_STEPS:
+        raise UsageError(f"inner kind must be one of {tuple(GRAY_STEPS)}, got {inner_kind!r}")
     layers = [Layer(inner_kind, dims[0])]
     layers.extend(Layer("rpgc", d) for d in dims[1:])
     return LayerPlan(layers)

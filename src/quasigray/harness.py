@@ -153,16 +153,17 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     read_set = ledger.read_set
     write_set = ledger.write_set
 
-    masks = [1 << i for i in range(dim)]
     snap0 = state.to_int()
     snap = snap0
 
     saved = snap0
     next_save = 1
 
-    step_reads = array("H")
-    step_writes = array("H")
-    step_hamming = array("H")
+    # a step's counts are at most dim: two bytes each below 2^16 bits
+    typecode = "H" if dim < 1 << 16 else "I"
+    step_reads = array(typecode)
+    step_writes = array(typecode)
+    step_hamming = array(typecode)
     append_reads = step_reads.append
     append_writes = step_writes.append
     append_hamming = step_hamming.append
@@ -202,9 +203,9 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
             advance(state, ledger)
             for p in write_set:
                 if bits[p]:
-                    snap |= masks[p]
+                    snap |= 1 << p
                 else:
-                    snap &= ~masks[p]
+                    snap &= ~(1 << p)
             if len(read_set) < dim:
                 _graft(tree, leaves, leaf_ids, prev, ledger, bits, dim)
             r, w = close_step()
@@ -342,8 +343,6 @@ def standard_binary_step(state: BitState, ledger: ProbeLedger) -> None:
 
 
 def make_binary_counter(dim: int) -> CounterSpec:
-    if dim < 1:
-        raise UsageError(f"dimension must be >= 1, got {dim}")
     return CounterSpec(
         name="binary",
         dim=dim,

@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import List
 
 from . import brgc, rpgc
+from .composite import GRAY_STEPS
 from .logmath import is_power_of_two
 from .probes import (
     BitState,
@@ -34,7 +35,7 @@ from .probes import (
     read_field,
 )
 
-ENCODINGS = ("binary", "brgc", "rpgc")
+ENCODINGS = ("binary", *sorted(GRAY_STEPS))
 
 
 @dataclass(frozen=True)
@@ -79,30 +80,28 @@ class SubCode:
     for a cyclic Gray code differs from all-zeros in exactly one bit.
     """
 
-    __slots__ = ("kind", "width", "max_pattern", "_rank_table")
+    __slots__ = ("kind", "width", "max_pattern", "_rank_table", "_step")
 
     def __init__(self, kind: str, width: int):
         if width < 1:
             raise UsageError(f"sub-code width must be >= 1, got {width}")
+        if kind not in GRAY_STEPS:
+            raise UsageError(f"sub-code kind must be brgc or rpgc, got {kind!r}")
         self.kind = kind
         self.width = width
+        self._step = GRAY_STEPS[kind]
         if kind == "brgc":
             self._rank_table = None
             self.max_pattern = [0] * width
             self.max_pattern[width - 1] = 1
-        elif kind == "rpgc":
+        else:
             self._rank_table = _rpgc_rank_table(width)
             last = len(self._rank_table) - 1
             max_value = next(v for v, r in self._rank_table.items() if r == last)
             self.max_pattern = [(max_value >> j) & 1 for j in range(width)]
-        else:
-            raise UsageError(f"sub-code kind must be brgc or rpgc, got {kind!r}")
 
     def advance(self, state: BitState, ledger: ProbeLedger, off: int) -> None:
-        if self.kind == "brgc":
-            brgc._next_range(state, ledger, off, self.width)
-        else:
-            rpgc._inc(state, ledger, off, self.width)
+        self._step(state, ledger, off, self.width, True)
 
     def rank(self, state: BitState, ledger: ProbeLedger, off: int) -> int:
         if self.kind == "brgc":
@@ -121,7 +120,7 @@ def _rpgc_rank_table(width: int) -> dict:
     table = {0: 0}
     for r in range(1, 1 << width):
         ledger.open_step()
-        rpgc._inc(state, ledger, 0, width)
+        rpgc._step(state, ledger, 0, width, True)
         ledger.close_step()
         value = state.to_int()
         if value in table:
@@ -227,7 +226,7 @@ def wine_increment(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> 
     step never writes more than one bit in each of b, i and k."""
     if layout.g < 1:
         raise UsageError("wine_increment needs g >= 1")
-    if layout.encoding not in ("brgc", "rpgc"):
+    if layout.encoding not in GRAY_STEPS:
         raise UsageError("wine_increment needs a Gray sub-code encoding")
     i_code = _sub_code(layout.encoding, layout.width)
     k_code = _sub_code(layout.encoding, layout.g)

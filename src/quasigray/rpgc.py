@@ -7,6 +7,10 @@ up (x=0) and back down (x=1), turning x at the extreme states of W. Those
 extremes are all-zeros (minimum) and 1 followed by zeros (maximum); the
 test suite confirms this empirically for every dimension it enumerates.
 
+Decrement is the mirror of increment, so one step function ``_step``
+takes the direction: going down swaps the roles of the maximum and the
+minimum, and tests whether A is the successor of B instead of equal to it.
+
 Read orders are part of the contract, because the average-read behaviour
 depends on them:
 
@@ -21,7 +25,7 @@ depends on them:
 
 from __future__ import annotations
 
-from .probes import BitState, CounterSpec, ProbeLedger, UsageError, field_is_zero
+from .probes import BitState, CounterSpec, ProbeLedger, field_is_zero
 
 
 def _equal(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) -> bool:
@@ -96,67 +100,42 @@ def _compare_inc(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) 
     return led.read(s, off_a) == 1 and _compare_inc(s, led, off_b + 1, off_a + 1, m)
 
 
-def _inc(s: BitState, led: ProbeLedger, off: int, n: int) -> None:
+def _step(s: BitState, led: ProbeLedger, off: int, n: int, up: bool) -> None:
+    """One step of the code on bits [off, off + n): forward when ``up``,
+    backward otherwise. Each rule's mirror swaps the roles of the extreme
+    states (odd n) or of the two comparisons (even n)."""
     if n == 1:
         led.write(s, off, led.read(s, off) ^ 1)
         return
     if n & 1:
-        m = n - 1
-        if led.read(s, off) == 0:
-            if _is_max(s, led, off + 1, m):
-                led.write(s, off, 1)
-            else:
-                _inc(s, led, off + 1, m)
+        # W moves forward on a forward step with x = 0 or a backward one with x = 1
+        x = led.read(s, off)
+        forward = up != x
+        if (_is_max if forward else _is_min)(s, led, off + 1, n - 1):
+            led.write(s, off, x ^ 1)
         else:
-            if _is_min(s, led, off + 1, m):
-                led.write(s, off, 0)
-            else:
-                _dec(s, led, off + 1, m)
+            _step(s, led, off + 1, n - 1, forward)
         return
     h = n >> 1
-    if _equal(s, led, off, off + h, h):
-        _dec(s, led, off + h, h)
+    # forward: A = B moves B back, else A forward; backward: A = B + 1 moves
+    # B forward, else A back
+    if (_equal if up else _compare_inc)(s, led, off, off + h, h):
+        _step(s, led, off + h, h, not up)
     else:
-        _inc(s, led, off, h)
-
-
-def _dec(s: BitState, led: ProbeLedger, off: int, n: int) -> None:
-    if n == 1:
-        led.write(s, off, led.read(s, off) ^ 1)
-        return
-    if n & 1:
-        m = n - 1
-        if led.read(s, off) == 0:
-            if _is_min(s, led, off + 1, m):
-                led.write(s, off, 1)
-            else:
-                _dec(s, led, off + 1, m)
-        else:
-            if _is_max(s, led, off + 1, m):
-                led.write(s, off, 0)
-            else:
-                _inc(s, led, off + 1, m)
-        return
-    h = n >> 1
-    if _compare_inc(s, led, off, off + h, h):
-        _inc(s, led, off + h, h)
-    else:
-        _dec(s, led, off, h)
+        _step(s, led, off, h, up)
 
 
 def rpgc_increment(state: BitState, ledger: ProbeLedger) -> None:
     """One step forward; writes exactly one bit."""
-    _inc(state, ledger, 0, state.dim)
+    _step(state, ledger, 0, state.dim, True)
 
 
 def rpgc_decrement(state: BitState, ledger: ProbeLedger) -> None:
     """Exact inverse of :func:`rpgc_increment`; writes exactly one bit."""
-    _dec(state, ledger, 0, state.dim)
+    _step(state, ledger, 0, state.dim, False)
 
 
 def make_rpgc_counter(dim: int) -> CounterSpec:
-    if dim < 1:
-        raise UsageError(f"dimension must be >= 1, got {dim}")
     return CounterSpec(
         name="rpgc",
         dim=dim,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,11 +7,23 @@ from quasigray.cli import run_cli
 from quasigray.reports import CSV_COLUMNS
 
 
+LIST_TEXT = """\
+binary       --dim D            standard binary counter (folklore baseline)
+brgc         --dim D            binary reflected Gray code
+composite    --layers A,B,..    layered plan, innermost first (--inner rpgc|brgc); \
+or --dim D --c C for the planned split
+doublespin   --n N --g G        lazy counter with a G-bit spin phase
+lazy         --n N              base lazy counter (N a power of two >= 2)
+rpgc         --dim D            recursive partition Gray code
+spin         --n N              lazy counter with a one-bit spin phase
+wine         --n N --g G        Gray-coded spin counter (write cap 3); \
+optional --encoding brgc|rpgc
+"""
+
+
 def test_list_names_every_counter(capsys):
     assert run_cli(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("binary", "brgc", "rpgc", "composite", "lazy", "spin", "doublespin", "wine"):
-        assert name in out
+    assert capsys.readouterr() == (LIST_TEXT, "")
 
 
 def test_cycle_json_report(capsys):
@@ -47,9 +60,13 @@ def test_wine_parameter_validation_exits_2(capsys):
 
 
 def test_missing_parameters_exit_2(capsys):
-    assert run_cli(["cycle", "--counter", "rpgc"]) == 2
-    assert run_cli(["cycle", "--counter", "doublespin", "--n", "4"]) == 2
-    assert run_cli(["bench", "--counter", "rpgc"]) == 2
+    for command, err in (
+        ("cycle --counter rpgc", "error: counter rpgc needs --dim\n"),
+        ("cycle --counter doublespin --n 4", "error: counter doublespin needs --g\n"),
+        ("bench --counter rpgc", "error: bench --counter rpgc needs --dims\n"),
+    ):
+        assert run_cli(command.split()) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize(
@@ -112,6 +129,13 @@ def test_cap_zero_is_rejected(monkeypatch, capsys):
     ):
         assert run_cli([*verb, "--cap", "0"]) == 2
         assert "--cap must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_steps_touching_2_16_bits_or_more_exit_0(capsys):
+    # such a step's read count does not fit a two-byte per-step column
+    assert run_cli(["cycle", "--counter", "rpgc", "--dim", "65536", "--cap", "3"]) == 0
+    assert run_cli(["cycle", "--counter", "brgc", "--dim", "70000", "--cap", "1"]) == 0
+    assert "avg_reads=70000 " in capsys.readouterr().out
 
 
 def test_env_cap_override(monkeypatch, capsys):
@@ -185,3 +209,18 @@ def test_cycle_output_file_has_lf_endings(tmp_path):
     raw = out.read_bytes()
     assert b"\r" not in raw
     assert raw.decode("utf-8").endswith("\n")
+
+
+def _readme_cli_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_commands_run(argv, tmp_path, capsys):
+    if "--output" in argv:
+        at = argv.index("--output") + 1
+        argv = [*argv[:at], str(tmp_path / argv[at]), *argv[at + 1 :]]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == ""
