@@ -14,14 +14,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .bounds import check_bounds, paper_bounds
 from .composite import GRAY_STEPS, PreconditionError
 from .counters import COUNTERS, make_counter, select_form
 from .harness import cycle_cap_from_env, enumerate_cycle, flatten_report, verify_quasi_gray
 from .probes import UsageError
-from .reports import build_table1_rows, csv_text, json_text, summary_text
+from .reports import build_table1_rows, csv_text, json_chunks, summary_text
 
 
 def _parse_int_list(text: str, flag: str) -> List[int]:
@@ -127,12 +127,13 @@ def _cap(args: argparse.Namespace) -> int:
     return cycle_cap_from_env()
 
 
-def _write_out(text: str, output: Optional[str]) -> None:
+def _write_out(pieces: Iterable[str], output: Optional[str]) -> None:
+    """Write the pieces of one text, in order, to ``output`` or stdout."""
     if output:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _write_rows(
@@ -140,8 +141,8 @@ def _write_rows(
     rows: List[Dict[str, object]],
     columns: Optional[List[str]] = None,
 ) -> None:
-    text = json_text(rows) if args.emit == "json" else csv_text(rows, columns)
-    _write_out(text, args.output)
+    pieces = json_chunks(rows) if args.emit == "json" else [csv_text(rows, columns)]
+    _write_out(pieces, args.output)
 
 
 def _cmd_list() -> int:
@@ -155,11 +156,11 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     report = enumerate_cycle(counter, _cap(args))
     row = flatten_report(report)
     if args.emit == "json":
-        _write_out(json_text(row), args.output)
+        _write_out(json_chunks(row), args.output)
     elif args.emit == "csv":
-        _write_out(csv_text([row]), args.output)
+        _write_out([csv_text([row])], args.output)
     else:
-        _write_out(summary_text(row), args.output)
+        _write_out([summary_text(row)], args.output)
     if not report.closed:
         print(
             f"warning: cycle did not close within {_cap(args)} steps", file=sys.stderr

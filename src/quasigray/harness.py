@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import os
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .probes import BitState, CounterSpec, ProbeLedger, UsageError, increment_field
 
@@ -45,6 +45,13 @@ class CycleReport:
     means no repeat was detected, not that none occurred, and it is False
     once one was. ``last_state`` is the canonical text of the state visited
     just before that return.
+
+    ``step_reads``, ``step_writes`` and ``step_hamming`` hold each step's
+    reads, writes and the number of bits it changed, in arrays of typecode
+    ``'H'`` below 2^16 bits and ``'I'`` from there on. The enumeration keeps
+    no per-step data: the first access to any of them runs it once more,
+    from the same start state with the same cap, records every step and
+    keeps the three arrays on the report.
     """
 
     counter: str
@@ -62,17 +69,39 @@ class CycleReport:
     total_reads: int
     total_writes: int
     last_state: Optional[str]
-    step_reads: array
-    step_writes: array
-    step_hamming: array
     # steps that ran the counter's step function; the rest walked the tree
     interpreted_steps: int
+    # (counter, start state as an int, cap): what the traced re-run repeats
+    _source: tuple = field(compare=False, repr=False)
+    _columns: Optional[Tuple[array, array, array]] = field(default=None, compare=False, repr=False)
+
+    @property
+    def step_reads(self) -> array:
+        return self._traced()[0]
+
+    @property
+    def step_writes(self) -> array:
+        return self._traced()[1]
+
+    @property
+    def step_hamming(self) -> array:
+        return self._traced()[2]
+
+    def _traced(self) -> Tuple[array, array, array]:
+        if self._columns is None:
+            counter, start, cap = self._source
+            traced = _run(counter, BitState.from_int(start, counter.dim), cap, True)
+            if traced != self:
+                raise AssertionError("the traced re-run disagrees with the report")
+            self._columns = traced._columns
+        return self._columns
 
 
 def _graft(
     tree: array,
     leaves: list,
     leaf_ids: dict,
+    visits: list,
     snap: int,
     ledger: ProbeLedger,
     bits: list,
@@ -80,13 +109,15 @@ def _graft(
 ) -> None:
     """Add the read path of the step the ledger just charged, taken from
     state ``snap`` (``bits`` is the state after it), below the tree node
-    where its walk fell off.
+    where its walk fell off. A new leaf starts with no visits.
 
     The path tests the positions the walk already tested, then the step's
-    remaining charged reads in position order. A state that reaches the new
-    leaf therefore agrees with ``snap`` on every bit the step read, and the
-    step does the same to it. A path that tests all ``dim`` bits pins one
-    state, which cannot recur before the cycle closes, so it is not added.
+    remaining charged reads in position order, then the positions it wrote
+    without reading them, in position order. A state that reaches the new
+    leaf therefore agrees with ``snap`` on every bit the step read, so the
+    step does the same to it, and on every bit it wrote, so it changes as
+    many bits. A path that tests all ``dim`` bits pins one state, which
+    cannot recur before the cycle closes, so it is not added.
     """
     walked = set()
     slot = -1
@@ -98,14 +129,16 @@ def _graft(
         node = tree[slot]
         if not node:
             break
-    rest = sorted(ledger.read_set.difference(walked))
+    read_set = ledger.read_set
+    rest = sorted(read_set.difference(walked))
+    rest += sorted(ledger.write_set.difference(read_set, walked))
     if not 0 < len(walked) + len(rest) < dim:
         return
     written = set_mask = 0
     for p in ledger.write_set:
         written |= 1 << p
         set_mask |= bits[p] << p
-    leaf = (~written, set_mask, len(ledger.read_set), len(ledger.write_set))
+    leaf = (~written, set_mask, len(read_set), len(ledger.write_set))
     for pos in rest:
         node = len(tree)
         if slot >= 0:
@@ -115,6 +148,7 @@ def _graft(
     i = leaf_ids.setdefault(leaf, len(leaves))
     if i == len(leaves):
         leaves.append(leaf)
+        visits.append(0)
     tree[slot] = ~i
 
 
@@ -136,16 +170,26 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     interprets: a node is ``(position, child0, child1)`` in a flat array, a
     child is 0 while unexplored, a node offset, or ``~i`` for leaf ``i``,
     which holds the step's keep and set masks and its read and write
-    counts. A step whose walk ends at a leaf applies it; any other step
-    runs the counter under the ledger and grafts its read path. The tree
-    lives only as long as this call.
+    counts. A step whose walk ends at a leaf applies it and adds one to the
+    leaf's visit count; any other step runs the counter under the ledger
+    and grafts its path. The totals are the ledger's plus each leaf's
+    counts times its visits, summed once after the run. Memory is
+    O(tree size), whatever the cycle length; the per-step arrays of the
+    report are built only when first read. The tree lives only as long as
+    this call.
     """
     if cap is None:
         cap = DEFAULT_CYCLE_CAP
     if cap < 1:
         raise UsageError(f"cap must be >= 1, got {cap}")
+    return _run(counter, counter.fresh_state(), cap, False)
+
+
+def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleReport:
+    """The loop of ``enumerate_cycle`` from ``state``; ``trace`` also
+    appends every step's reads, writes and Hamming distance to the
+    report's per-step arrays."""
     dim = counter.dim
-    state = counter.fresh_state()
     ledger = ProbeLedger()
     advance = counter.advance
     open_step = ledger.open_step
@@ -159,14 +203,12 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     saved = snap0
     next_save = 1
 
-    # a step's counts are at most dim: two bytes each below 2^16 bits
-    typecode = "H" if dim < 1 << 16 else "I"
-    step_reads = array(typecode)
-    step_writes = array(typecode)
-    step_hamming = array(typecode)
-    append_reads = step_reads.append
-    append_writes = step_writes.append
-    append_hamming = step_hamming.append
+    columns = None
+    if trace:
+        # a step's counts are at most dim: two bytes each below 2^16 bits
+        typecode = "H" if dim < 1 << 16 else "I"
+        columns = (array(typecode), array(typecode), array(typecode))
+        append_reads, append_writes, append_hamming = (c.append for c in columns)
     max_hamming = 0
     closed = False
     distinct = True
@@ -176,7 +218,7 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     tree = array("i")
     leaves: list = []
     leaf_ids: Dict[tuple, int] = {}
-    hit_reads = hit_writes = 0
+    visits: list = []
     stale = False  # the bit list lags the snapshot after a tree step
 
     child = 0  # only a walk assigns it, so it stays 0 while the tree is empty
@@ -193,10 +235,10 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                 bits[:] = map(int, reversed(f"{snap:0{dim}b}"))
                 stale = False
         if child < 0:
-            keep, set_mask, r, w = leaves[~child]
+            i = ~child
+            keep, set_mask, r, w = leaves[i]
             snap = snap & keep | set_mask
-            hit_reads += r
-            hit_writes += w
+            visits[i] += 1
             stale = True
         else:
             open_step()
@@ -207,14 +249,17 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                 else:
                     snap &= ~(1 << p)
             if len(read_set) < dim:
-                _graft(tree, leaves, leaf_ids, prev, ledger, bits, dim)
+                _graft(tree, leaves, leaf_ids, visits, prev, ledger, bits, dim)
             r, w = close_step()
-        h = (prev ^ snap).bit_count()
-        append_reads(r)
-        append_writes(w)
-        append_hamming(h)
-        if h > max_hamming:
-            max_hamming = h
+            # a leaf changes as many bits as the step that grafted it, so
+            # the interpreted steps hold the maximum
+            h = (prev ^ snap).bit_count()
+            if h > max_hamming:
+                max_hamming = h
+        if trace:
+            append_reads(r)
+            append_writes(w)
+            append_hamming((prev ^ snap).bit_count())
         steps += 1
         if snap == snap0:
             closed = True
@@ -227,8 +272,11 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
             next_save <<= 1
         prev = snap
 
-    total_reads = ledger.total_reads + hit_reads
-    total_writes = ledger.total_writes + hit_writes
+    total_reads = ledger.total_reads
+    total_writes = ledger.total_writes
+    for (_, _, r, w), n in zip(leaves, visits):
+        total_reads += n * r
+        total_writes += n * w
     last_state = BitState.from_int(prev, dim).to_text() if closed else None
     return CycleReport(
         counter=counter.name,
@@ -247,10 +295,9 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
         total_reads=total_reads,
         total_writes=total_writes,
         last_state=last_state,
-        step_reads=step_reads,
-        step_writes=step_writes,
-        step_hamming=step_hamming,
         interpreted_steps=ledger.steps,
+        _source=(counter, snap0, cap),
+        _columns=columns,
     )
 
 
@@ -275,18 +322,22 @@ class QuasiGrayCheck:
 
 def verify_quasi_gray(report: CycleReport, c: int) -> QuasiGrayCheck:
     """Pass iff every consecutive pair (wrap included) differs in at most c
-    bits and every step wrote at most c bits."""
+    bits and every step wrote at most c bits.
+
+    The report's maxima decide. Only a failing check reads the per-step
+    arrays, at the cost of one more enumeration, to name its first
+    violating step."""
     if c < 1:
         raise UsageError(f"c must be >= 1, got {c}")
     if not report.closed or not report.distinct:
         raise UsageError("verify_quasi_gray needs a closed, distinct report")
     if report.max_hamming <= c and report.worst_writes <= c:
         return QuasiGrayCheck(passed=True, c=c)
-    for idx in range(report.length):
-        if report.step_hamming[idx] > c:
-            return QuasiGrayCheck(False, c, idx + 1, "hamming", report.step_hamming[idx])
-        if report.step_writes[idx] > c:
-            return QuasiGrayCheck(False, c, idx + 1, "writes", report.step_writes[idx])
+    for step, (h, w) in enumerate(zip(report.step_hamming, report.step_writes), 1):
+        if h > c:
+            return QuasiGrayCheck(False, c, step, "hamming", h)
+        if w > c:
+            return QuasiGrayCheck(False, c, step, "writes", w)
     raise AssertionError("aggregates disagree with per-step data")
 
 

@@ -3,9 +3,10 @@ table that reproduces the documented bound claims at desk scale."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bounds import TABLE_COLUMNS, table_bounds
 from .counters import make_counter
@@ -56,8 +57,20 @@ def csv_text(rows: Sequence[Dict[str, object]], columns: Optional[List[str]] = N
     return "".join(",".join(map(_csv_field, line)) + "\n" for line in lines)
 
 
+def json_chunks(payload: object) -> Iterator[str]:
+    """The text of ``json_text`` in pieces of up to 128 encoder tokens.
+    ``json.dumps`` with an indent keeps every token as a string of its own
+    until it joins them, several times the size of the text; a caller that
+    writes the pieces as they come holds one piece at a time."""
+    tokens = json.JSONEncoder(indent=2).iterencode(payload)
+    while piece := "".join(itertools.islice(tokens, 128)):
+        yield piece
+    yield "\n"
+
+
 def json_text(payload: object) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2)`` and a line break."""
+    return "".join(json_chunks(payload))
 
 
 def summary_text(row: Dict[str, object]) -> str:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,7 @@ from quasigray.harness import (
     standard_binary_step,
 )
 from quasigray.probes import read_field
-from quasigray.reports import CSV_COLUMNS, csv_text, json_text
+from quasigray.reports import CSV_COLUMNS, csv_text, json_chunks, json_text
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -226,6 +227,19 @@ def test_csv_text_matches_csv_writer():
         csv_text([{}], ["counter"])
 
 
+def test_json_chunks_are_json_dumps_in_pieces():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    text = golden["table1"]["json"]
+    rows = json.loads(text)
+    pieces = list(json_chunks(rows))
+    assert "".join(pieces) == json_text(rows) == json.dumps(rows, indent=2) + "\n" == text
+    # a table is written a piece at a time, never as one string
+    assert len(pieces) > 10
+    assert max(map(len, pieces)) < len(text) // 10
+    assert json_text("a\nb") == '"a\\nb"\n'
+    assert json_text([]) == "[]\n"
+
+
 def test_metrics_row_tolerates_unclosed_reports():
     row = flatten_report(enumerate_cycle(make_counter("rpgc", dim=4), cap=5))
     assert row["closed"] is False
@@ -388,6 +402,110 @@ def test_tree_interprets_few_steps_where_paths_repeat(cycle_report):
     assert lazy.interpreted_steps <= 64
     rpgc = enumerate_cycle(make_counter("rpgc", dim=13))
     assert rpgc.interpreted_steps < rpgc.length // 3
+
+
+def _flag_step(state, ledger):
+    # bits 0-1 count in Gray order, bit 2 is a phase and bits 3-4 are
+    # flags: 01 and 11 copy the phase into a flag, 10 flips the phase, and
+    # 00 clears both flags without reading them. From the start state
+    # 00100, the first and the fifth step read the same two bits and
+    # change one bit and three bits.
+    v = ledger.read(state, 0) | ledger.read(state, 1) << 1
+    if v == 0:
+        ledger.write(state, 0, 1)
+        ledger.write(state, 3, 0)
+        ledger.write(state, 4, 0)
+    elif v == 1:
+        ledger.write(state, 1, 1)
+        ledger.write(state, 3, ledger.read(state, 2))
+    elif v == 3:
+        ledger.write(state, 0, 0)
+        ledger.write(state, 4, ledger.read(state, 2))
+    else:
+        ledger.write(state, 1, 0)
+        ledger.write(state, 2, ledger.read(state, 2) ^ 1)
+
+
+FLAG_COUNTER = CounterSpec("flags", 5, {"dim": 5}, BitState.from_text("00100"), _flag_step)
+
+
+def test_blind_writes_fix_the_hamming_weight_of_a_leaf():
+    # a path that left the blind-written flags untested would send the
+    # fifth step down the first step's leaf, and its three changed bits,
+    # the cycle's maximum, would never be seen
+    full = reference_cycle(FLAG_COUNTER, 1 << 26)
+    assert full["step_hamming"] == [1, 2, 2, 2, 3, 1, 1, 2]
+    report = enumerate_cycle(FLAG_COUNTER)
+    assert report.max_hamming == 3
+    assert _observed(report) == full
+
+
+def _first_violation(full, c):
+    for step, (h, w) in enumerate(zip(full["step_hamming"], full["step_writes"]), 1):
+        if h > c:
+            return step, "hamming", h
+        if w > c:
+            return step, "writes", w
+    return None
+
+
+@pytest.mark.parametrize(
+    "counter, c",
+    [
+        (make_counter("binary", dim=10), 1),
+        (make_counter("binary", dim=10), 3),
+        (make_counter("doublespin", n=4, g=2), 1),
+        (make_counter("doublespin", n=4, g=2), 4),
+        (make_counter("spin", n=4), 1),
+        (make_counter("spin", n=4), 3),
+        (FLAG_COUNTER, 1),
+    ],
+    ids=lambda v: v.name if isinstance(v, CounterSpec) else f"c={v}",
+)
+def test_verify_names_the_first_violating_step(counter, c):
+    check = verify_quasi_gray(enumerate_cycle(counter), c)
+    expected = _first_violation(reference_cycle(counter, 1 << 26), c)
+    assert not check.passed
+    assert (check.violation_step, check.violation_kind, check.violation_value) == expected
+
+
+def test_verify_of_a_passing_report_builds_no_per_step_data():
+    report = enumerate_cycle(make_counter("wine", n=4, g=2))
+    assert verify_quasi_gray(report, 3).passed
+    assert report._columns is None
+
+
+@pytest.mark.parametrize(
+    "name, kw, cap",
+    # the rpgc run stops at 2^16 of its 2^20 steps: traced by tracemalloc,
+    # the whole cycle takes about a minute
+    [("lazy", dict(n=16), None), ("rpgc", dict(dim=20), 1 << 16)],
+)
+def test_enumeration_memory_does_not_grow_with_the_steps(name, kw, cap):
+    # three per-step arrays of two bytes would hold 6 bytes a step: 768 KiB
+    # over lazy's 131,070 steps and 384 KiB over rpgc's first 2^16
+    counter = make_counter(name, **kw)
+    tracemalloc.start()
+    try:
+        report = enumerate_cycle(counter, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.length == (131070 if cap is None else cap)
+    assert peak < 128 * 1024
+    assert report._columns is None
+    reads = report.step_reads
+    assert report._columns is not None
+    assert len(reads) == report.length and reads.typecode == "H"
+    assert report.step_writes is report.step_writes
+
+
+def test_per_step_arrays_stay_out_of_equality_and_repr():
+    counter = make_counter("rpgc", dim=5)
+    fresh, read = enumerate_cycle(counter), enumerate_cycle(counter)
+    assert len(read.step_hamming) == read.length == 32
+    assert fresh == read and repr(fresh) == repr(read)
+    assert "step_" not in repr(read) and "_source" not in repr(read)
 
 
 def _charged_step(counter, value):
