@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Union
 
-from .harness import CycleReport, decimal_str
+from .harness import DECIMAL_DIGITS, CycleReport, decimal_str
 from .logmath import compare_with_log2, is_power_of_two
 from .probes import CounterSpec, UsageError
 
@@ -35,15 +35,15 @@ class LogLinearBound:
             raise UsageError("coefficient must be positive")
         return compare_with_log2((value - self.offset) / self.coeff, self.arg) <= 0
 
-    def decimal(self, digits: int = 10) -> str:
+    def decimal(self) -> str:
         if is_power_of_two(self.arg):
             exact = self.coeff * (self.arg.bit_length() - 1) + self.offset
-            return decimal_str(Fraction(exact), digits)
+            return decimal_str(Fraction(exact))
         import math
 
         return format(
             float(self.coeff) * math.log2(self.arg) + float(self.offset),
-            f".{digits}g",
+            f".{DECIMAL_DIGITS}g",
         )
 
 

@@ -153,7 +153,8 @@ def _cmd_list() -> int:
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
     counter = make_counter(args.counter, **_selector_kwargs(args))
-    report = enumerate_cycle(counter, _cap(args))
+    cap = _cap(args)
+    report = enumerate_cycle(counter, cap)
     row = flatten_report(report)
     if args.emit == "json":
         _write_out(json_chunks(row), args.output)
@@ -162,9 +163,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     else:
         _write_out([summary_text(row)], args.output)
     if not report.closed:
-        print(
-            f"warning: cycle did not close within {_cap(args)} steps", file=sys.stderr
-        )
+        print(f"warning: cycle did not close within {cap} steps", file=sys.stderr)
     return 0
 
 

@@ -104,20 +104,21 @@ def _graft(
     visits: list,
     snap: int,
     ledger: ProbeLedger,
-    bits: list,
+    flip: int,
     dim: int,
 ) -> None:
     """Add the read path of the step the ledger just charged, taken from
-    state ``snap`` (``bits`` is the state after it), below the tree node
+    state ``snap`` and flipping the bits of ``flip``, below the tree node
     where its walk fell off. A new leaf starts with no visits.
 
     The path tests the positions the walk already tested, then the step's
     remaining charged reads in position order, then the positions it wrote
     without reading them, in position order. A state that reaches the new
     leaf therefore agrees with ``snap`` on every bit the step read, so the
-    step does the same to it, and on every bit it wrote, so it changes as
-    many bits. A path that tests all ``dim`` bits pins one state, which
-    cannot recur before the cycle closes, so it is not added.
+    step does the same to it, and on every bit it wrote, so it flips the
+    same bits: applying the leaf is ``state ^ flip``. A path that tests all
+    ``dim`` bits pins one state, which cannot recur before the cycle
+    closes, so it is not added.
     """
     walked = set()
     slot = -1
@@ -134,11 +135,7 @@ def _graft(
     rest += sorted(ledger.write_set.difference(read_set, walked))
     if not 0 < len(walked) + len(rest) < dim:
         return
-    written = set_mask = 0
-    for p in ledger.write_set:
-        written |= 1 << p
-        set_mask |= bits[p] << p
-    leaf = (~written, set_mask, len(read_set), len(ledger.write_set))
+    leaf = (flip, len(read_set), len(ledger.write_set))
     for pos in rest:
         node = len(tree)
         if slot >= 0:
@@ -169,10 +166,10 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     The run grows a decision tree over the state's bits from the steps it
     interprets: a node is ``(position, child0, child1)`` in a flat array, a
     child is 0 while unexplored, a node offset, or ``~i`` for leaf ``i``,
-    which holds the step's keep and set masks and its read and write
-    counts. A step whose walk ends at a leaf applies it and adds one to the
-    leaf's visit count; any other step runs the counter under the ledger
-    and grafts its path. The totals are the ledger's plus each leaf's
+    which holds the bits the step flips and its read and write counts. A
+    step whose walk ends at a leaf applies it and adds one to the leaf's
+    visit count; any other step runs the counter under the ledger and
+    grafts its path. The totals are the ledger's plus each leaf's
     counts times its visits, summed once after the run. Memory is
     O(tree size), whatever the cycle length; the per-step arrays of the
     report are built only when first read. The tree lives only as long as
@@ -236,8 +233,8 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
                 stale = False
         if child < 0:
             i = ~child
-            keep, set_mask, r, w = leaves[i]
-            snap = snap & keep | set_mask
+            flip, r, w = leaves[i]
+            snap ^= flip
             visits[i] += 1
             stale = True
         else:
@@ -249,7 +246,7 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
                 else:
                     snap &= ~(1 << p)
             if len(read_set) < dim:
-                _graft(tree, leaves, leaf_ids, visits, prev, ledger, bits, dim)
+                _graft(tree, leaves, leaf_ids, visits, prev, ledger, prev ^ snap, dim)
             r, w = close_step()
             # a leaf changes as many bits as the step that grafted it, so
             # the interpreted steps hold the maximum
@@ -274,7 +271,7 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
 
     total_reads = ledger.total_reads
     total_writes = ledger.total_writes
-    for (_, _, r, w), n in zip(leaves, visits):
+    for (_, r, w), n in zip(leaves, visits):
         total_reads += n * r
         total_writes += n * w
     last_state = BitState.from_int(prev, dim).to_text() if closed else None
@@ -341,10 +338,15 @@ def verify_quasi_gray(report: CycleReport, c: int) -> QuasiGrayCheck:
     raise AssertionError("aggregates disagree with per-step data")
 
 
-def decimal_str(value: Fraction, digits: int = 10) -> str:
-    """Deterministic decimal rendering with the given significant digits."""
+# significant digits of every decimal rendering in reports
+DECIMAL_DIGITS = 10
+
+
+def decimal_str(value: Fraction) -> str:
+    """Deterministic decimal rendering to :data:`DECIMAL_DIGITS` significant
+    digits."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         quotient = Decimal(value.numerator) / Decimal(value.denominator)
     return str(quotient)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List
+from typing import Tuple
 
 from . import brgc, rpgc
 from .composite import GRAY_STEPS
@@ -71,49 +71,26 @@ class LazyLayout:
         return self.n + self.width + self.g
 
 
-class SubCode:
-    """A cyclic space-optimal code driving one sub-field of the counter.
+@lru_cache(maxsize=None)
+def _max_pattern(kind: str, width: int) -> Tuple[int, ...]:
+    """The state of highest rank in a cyclic Gray sub-code: one step back
+    from all zeros, read back through the ledger."""
+    state = BitState.zeros(width)
+    ledger = ProbeLedger()
+    ledger.open_step()
+    GRAY_STEPS[kind](state, ledger, 0, width, False)
+    return tuple(ledger.read(state, j) for j in range(width))
 
-    ``advance`` steps the field under the ledger; ``rank`` charges a full
-    read of the field (the position lookup needs every bit) and returns
-    the state's rank; ``max_pattern`` is the state of highest rank, which
-    for a cyclic Gray code differs from all-zeros in exactly one bit.
-    """
 
-    __slots__ = ("kind", "width", "max_pattern", "_rank_table", "_step")
-
-    def __init__(self, kind: str, width: int):
-        if width < 1:
-            raise UsageError(f"sub-code width must be >= 1, got {width}")
-        if kind not in GRAY_STEPS:
-            raise UsageError(f"sub-code kind must be brgc or rpgc, got {kind!r}")
-        self.kind = kind
-        self.width = width
-        self._step = GRAY_STEPS[kind]
-        if kind == "brgc":
-            self._rank_table = None
-            self.max_pattern = [0] * width
-            self.max_pattern[width - 1] = 1
-        else:
-            self._rank_table = _rpgc_rank_table(width)
-            last = len(self._rank_table) - 1
-            max_value = next(v for v, r in self._rank_table.items() if r == last)
-            self.max_pattern = [(max_value >> j) & 1 for j in range(width)]
-
-    def advance(self, state: BitState, ledger: ProbeLedger, off: int) -> None:
-        self._step(state, ledger, off, self.width, True)
-
-    def rank(self, state: BitState, ledger: ProbeLedger, off: int) -> int:
-        if self.kind == "brgc":
-            return brgc._rank_range_tracked(state, ledger, off, self.width)
-        return self._rank_table[read_field(state, ledger, off, self.width)]
+def _rank(kind: str, state: BitState, ledger: ProbeLedger, off: int, width: int) -> int:
+    """Rank of a sub-code field; the position lookup charges a read of
+    every bit."""
+    if kind == "brgc":
+        return brgc._rank_range_tracked(state, ledger, off, width)
+    return _rpgc_rank_table(width)[read_field(state, ledger, off, width)]
 
 
 @lru_cache(maxsize=None)
-def _sub_code(kind: str, width: int) -> SubCode:
-    return SubCode(kind, width)
-
-
 def _rpgc_rank_table(width: int) -> dict:
     state = BitState.zeros(width)
     ledger = ProbeLedger()
@@ -203,7 +180,7 @@ def double_spin_increment(
 
 
 def _field_matches(
-    state: BitState, ledger: ProbeLedger, off: int, pattern: List[int]
+    state: BitState, ledger: ProbeLedger, off: int, pattern: Tuple[int, ...]
 ) -> bool:
     for j, want in enumerate(pattern):
         if ledger.read(state, off + j) != want:
@@ -212,11 +189,11 @@ def _field_matches(
 
 
 def _clear_max_state(
-    state: BitState, ledger: ProbeLedger, off: int, code: SubCode
+    state: BitState, ledger: ProbeLedger, off: int, pattern: Tuple[int, ...]
 ) -> None:
     # the field is at the code's maximal state, which differs from zero in
     # a single bit for a Gray sub-code: one blind write resets it
-    for j, bit in enumerate(code.max_pattern):
+    for j, bit in enumerate(pattern):
         if bit:
             ledger.write(state, off + j, 0)
 
@@ -228,25 +205,26 @@ def wine_increment(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> 
         raise UsageError("wine_increment needs g >= 1")
     if layout.encoding not in GRAY_STEPS:
         raise UsageError("wine_increment needs a Gray sub-code encoding")
-    i_code = _sub_code(layout.encoding, layout.width)
-    k_code = _sub_code(layout.encoding, layout.g)
+    kind = layout.encoding
+    step = GRAY_STEPS[kind]
+    k_max = _max_pattern(kind, layout.g)
     i_off = layout.i_offset
     k_off = layout.k_offset
-    if not _field_matches(state, ledger, k_off, k_code.max_pattern):
-        i_code.advance(state, ledger, i_off)
+    if not _field_matches(state, ledger, k_off, k_max):
+        step(state, ledger, i_off, layout.width, True)
         if field_is_zero(state, ledger, i_off, layout.width):
-            k_code.advance(state, ledger, k_off)
+            step(state, ledger, k_off, layout.g, True)
     else:
-        pos = i_code.rank(state, ledger, i_off)
+        pos = _rank(kind, state, ledger, i_off, layout.width)
         if ledger.read(state, pos):
             ledger.write(state, pos, 0)
-            i_code.advance(state, ledger, i_off)
+            step(state, ledger, i_off, layout.width, True)
             if field_is_zero(state, ledger, i_off, layout.width):
-                _clear_max_state(state, ledger, k_off, k_code)
+                _clear_max_state(state, ledger, k_off, k_max)
         else:
             ledger.write(state, pos, 1)
             # i is left where it is; only k returns to its initial state
-            _clear_max_state(state, ledger, k_off, k_code)
+            _clear_max_state(state, ledger, k_off, k_max)
 
 
 def _lazy_counter(name: str, layout: LazyLayout, step, claimed_c: int) -> CounterSpec:

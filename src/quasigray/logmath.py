@@ -2,10 +2,9 @@
 
 Bound checks in this package compare exact rationals against values like
 ``6*log2(d)``, which are irrational for most d. The comparisons here are
-certified with exact arithmetic (``2**a <= d**K`` style tests at an
-escalating grid, then correctly rounded logarithms under a proved error
-bound once the powers grow large), so a reported pass or fail is never a
-float artifact.
+certified with exact arithmetic (the integer part of the logarithm, then
+correctly rounded logarithms under a proved error bound), so a reported
+pass or fail is never a float artifact.
 """
 
 from __future__ import annotations
@@ -15,11 +14,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .probes import UsageError
-
-
-# Largest power arg**k, in bits, that compare_with_log2 builds exactly;
-# a few milliseconds to build at this size.
-POWER_BIT_BUDGET = 1 << 18
 
 
 def floor_log2(n: int) -> int:
@@ -76,36 +70,22 @@ def log_star(n: int) -> int:
 def compare_with_log2(value: Fraction, arg: int) -> int:
     """Exact sign of ``value - log2(arg)``: -1, 0 or +1.
 
-    For arg a power of two the comparison is direct. Otherwise log2(arg) is
-    irrational, so equality is impossible: the grid rounds below separate
-    any value that is not very close to it, and a round at k = den decides
-    every value, because both grid points are then num itself and
-    ``2**num`` never equals ``arg**den``. A round is run only while
-    ``arg**k`` stays within :data:`POWER_BIT_BUDGET` bits; past it,
-    :func:`_ln_sign` decides with rounded logarithms and a proved error
-    bound.
+    For arg a power of two the comparison is direct. Otherwise log2(arg)
+    is irrational and lies strictly between f = floor(log2(arg)) and f + 1,
+    so a value outside that interval is decided by the integer part alone;
+    :func:`_ln_sign` decides the rest with rounded logarithms and a proved
+    error bound.
     """
     if arg < 1:
         raise UsageError(f"log2 argument must be >= 1, got {arg}")
+    f = arg.bit_length() - 1
     if is_power_of_two(arg):
-        exact = arg.bit_length() - 1
-        return (value > exact) - (value < exact)
-    if value <= 1:
-        return -1  # non-power arg is >= 3, so log2(arg) > 1
-    num, den = value.numerator, value.denominator
-    k = 1
-    while True:
-        k = min(k, den)
-        if k * arg.bit_length() > POWER_BIT_BUDGET:
-            return _ln_sign(num, den, arg)
-        power = arg**k
-        ceil_a = -((-num * k) // den)
-        if (1 << ceil_a) <= power:  # ceil_a/k <= log2(arg), so value <= it too
-            return -1
-        floor_b = (num * k) // den
-        if (1 << floor_b) >= power:  # floor_b/k >= log2(arg), so value >= it
-            return 1
-        k <<= 6
+        return (value > f) - (value < f)
+    if value <= f:
+        return -1
+    if value >= f + 1:
+        return 1
+    return _ln_sign(value.numerator, value.denominator, arg)
 
 
 def _ln_sign(num: int, den: int, arg: int) -> int:

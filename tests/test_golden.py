@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from quasigray import logmath
 from quasigray.cli import run_cli
 
 GOLDEN = json.loads(
@@ -41,3 +42,16 @@ def test_golden_config_replays(key):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_golden_table1_replays(fmt):
     assert _run(["table1", "--emit", fmt]) == (0, GOLDEN["table1"][fmt])
+
+
+def test_golden_bound_checks_never_need_rounded_logarithms(monkeypatch):
+    # every bound the golden verify rows and table1 certify is decided by
+    # the power-of-two branch or the integer part of the logarithm
+    def refuse(num, den, arg):
+        raise AssertionError(f"_ln_sign({num}, {den}, {arg}) called")
+
+    monkeypatch.setattr(logmath, "_ln_sign", refuse)
+    for key, gold in sorted(GOLDEN["configs"].items()):
+        assert _run(["verify", *key.split()]) == (gold["verify_rc"], gold["verify"])
+    for fmt in ("csv", "json"):
+        assert _run(["table1", "--emit", fmt]) == (0, GOLDEN["table1"][fmt])

@@ -1,8 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from quasigray import BitState, ProbeLedger, UsageError, enumerate_cycle
+from quasigray import BitState, ProbeLedger, UsageError, enumerate_cycle, lazy, rpgc
+from quasigray.brgc import brgc_unrank
+from quasigray.cli import run_cli
 from quasigray.lazy import (
     LazyLayout,
     double_spin_increment,
@@ -202,6 +205,36 @@ def test_wine_with_partition_sub_codes_keeps_the_same_cycle_length():
         assert report.worst_writes <= 3
         w = n.bit_length() - 1
         assert report.worst_reads <= g + w + 1
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_max_pattern_is_the_state_of_highest_rank(width):
+    last = (1 << width) - 1
+    assert lazy._max_pattern("brgc", width) == tuple(brgc_unrank(last, width).bits)
+    state = BitState.zeros(width)
+    ledger = ProbeLedger()
+    for _ in range(last):
+        ledger.open_step()
+        rpgc._step(state, ledger, 0, width, True)
+        ledger.close_step()
+    assert lazy._max_pattern("rpgc", width) == tuple(state.bits)
+
+
+def test_one_wine_step_with_a_wide_phase_field_stays_small(capsys):
+    # the first step reads k, which is not at its maximal state, and never
+    # ranks i: nothing of size 2^g is built for the 20-bit phase field
+    lazy._max_pattern.cache_clear()
+    lazy._rpgc_rank_table.cache_clear()
+    argv = "cycle --counter wine --n 2 --g 20 --encoding rpgc --cap 1".split()
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "length=1 closed=false" in capsys.readouterr().out
+    assert peak < 1 << 20
 
 
 def test_every_step_writes_at_least_one_bit(cycle_report):

@@ -67,15 +67,15 @@ def test_compare_with_log2_irrational_tight_cases():
 
 
 def test_compare_with_log2_decides_near_ties_exactly():
-    # 126797/80000 = 1.5849625 sits 7.2e-10 below log2(3): grid rounds with
-    # k up to 2**24 cannot separate the two, and the round at k = den does
+    # 126797/80000 = 1.5849625 sits 7.2e-10 below log2(3): only the
+    # rounded logarithms separate the two
     assert compare_with_log2(Fraction(126797, 80000), 3) == -1
     assert compare_with_log2(Fraction(126798, 80000), 3) == 1
 
 
 def test_compare_with_log2_near_ties_with_huge_denominators_finish():
-    # den 10**9 would need 3**(10**9), a 1.6 Gbit power, in the grid round
-    # at k = den; the rounded-logarithm test decides instead
+    # an exact power test would need 3**(10**9), a 1.6 Gbit power; the
+    # rounded-logarithm test decides instead
     centre = Fraction(126797, 80000)
     for delta, expected in ((Fraction(1, 10**9), 1), (Fraction(-1, 10**9), -1)):
         start = time.perf_counter()

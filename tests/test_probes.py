@@ -188,7 +188,7 @@ def test_read_run_outside_a_step_is_a_usage_error():
 # Step code reaches a state's bits only through the ledger. These are the
 # attributes of BitState that expose its bits in bulk, and the only places in
 # the counter modules allowed to use them: brgc's untracked rank oracle, and
-# the rank table lazy builds for an rpgc sub-code before any step runs.
+# the rank table lazy builds, under its own ledger, for an rpgc pointer.
 BULK_VIEWS = {"bits", "to_int", "to_text", "copy"}
 BULK_VIEW_ALLOWED = {
     ("brgc", "_rank_range", "bits"),
