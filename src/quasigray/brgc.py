@@ -22,27 +22,27 @@ def _step_range(state: BitState, ledger: ProbeLedger, off: int, n: int, up: bool
     zeros. The flip takes the old bit from the bits read, which are already
     charged, so consulting it again costs nothing."""
     vals = ledger.read_run(state, off, n)
-    if sum(vals) & 1 != up:
+    if vals.bit_count() & 1 != up:
         j = 0
     else:
-        low_one = vals.index(1) if 1 in vals else -1
+        low_one = (vals & -vals).bit_length() - 1
         j = n - 1 if low_one in (-1, n - 1) else low_one + 1
-    ledger.write(state, off + j, vals[j] ^ 1)
+    ledger.write(state, off + j, ((vals >> j) & 1) ^ 1)
 
 
-def _gray_rank(vals: list) -> int:
-    # rank bit j is the parity of Gray bits j and above
-    r = 0
-    acc = 0
-    for v in reversed(vals):
-        acc ^= v
-        r = (r << 1) | acc
-    return r
+def _gray_rank(gray: int) -> int:
+    # rank bit j is the parity of Gray bits j and above: a prefix XOR that
+    # doubles its reach each round
+    shift = 1
+    while gray >> shift:
+        gray ^= gray >> shift
+        shift <<= 1
+    return gray
 
 
 def _rank_range(state: BitState, off: int, n: int) -> int:
     # the untracked oracle: the one place a counter module reads bits directly
-    return _gray_rank(state.bits[off : off + n])
+    return _gray_rank((state.value >> off) & ((1 << n) - 1))
 
 
 def _rank_range_tracked(state: BitState, ledger: ProbeLedger, off: int, n: int) -> int:
@@ -64,20 +64,11 @@ def brgc_rank(state: BitState) -> int:
     return _rank_range(state, 0, state.dim)
 
 
-def brgc_rank_tracked(state: BitState, ledger: ProbeLedger) -> int:
-    """rank variant that charges a read of every bit, for use inside
-    counters whose cost accounting must include the rank lookup."""
-    return _rank_range_tracked(state, ledger, 0, state.dim)
-
-
 def brgc_unrank(r: int, dim: int) -> BitState:
     """State of rank r: the bits of ``r XOR (r >> 1)``."""
-    if dim < 1:
-        raise UsageError(f"dimension must be >= 1, got {dim}")
-    if not 0 <= r < (1 << dim):
+    if r < 0 or r.bit_length() > dim:
         raise UsageError(f"rank {r} out of range for dim {dim}")
-    gray = r ^ (r >> 1)
-    return BitState(dim, [(gray >> i) & 1 for i in range(dim)])
+    return BitState.from_int(r ^ (r >> 1), dim)
 
 
 def make_brgc_counter(dim: int) -> CounterSpec:

@@ -20,7 +20,7 @@ from .bounds import check_bounds, paper_bounds
 from .composite import GRAY_STEPS, PreconditionError
 from .counters import COUNTERS, make_counter, select_form
 from .harness import cycle_cap_from_env, enumerate_cycle, flatten_report, verify_quasi_gray
-from .probes import UsageError
+from .probes import MAX_DIM, UsageError
 from .reports import build_table1_rows, csv_text, json_chunks, summary_text
 
 
@@ -38,6 +38,9 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
                 raise UsageError(f"bad range {part!r} for {flag}") from exc
             if hi_i < lo_i:
                 raise UsageError(f"empty range {part!r} for {flag}")
+            # no value, and no count of values, may pass the dimension bound
+            if max(hi_i, len(out) + hi_i - lo_i + 1) > MAX_DIM:
+                raise UsageError(f"range {part!r} for {flag} goes past {MAX_DIM}")
             out.extend(range(lo_i, hi_i + 1))
         else:
             try:

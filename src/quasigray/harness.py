@@ -22,10 +22,10 @@ DEFAULT_CYCLE_CAP = 1 << 26
 CAP_ENV_VAR = "QUASIGRAY_CYCLE_CAP"
 
 
-def cycle_cap_from_env(default: int = DEFAULT_CYCLE_CAP) -> int:
+def cycle_cap_from_env() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
-        return default
+        return DEFAULT_CYCLE_CAP
     try:
         cap = int(raw)
     except ValueError as exc:
@@ -192,9 +192,8 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
     open_step = ledger.open_step
     close_step = ledger.close_step
     read_set = ledger.read_set
-    write_set = ledger.write_set
 
-    snap0 = state.to_int()
+    snap0 = state.value
     snap = snap0
 
     saved = snap0
@@ -216,10 +215,8 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
     leaves: list = []
     leaf_ids: Dict[tuple, int] = {}
     visits: list = []
-    stale = False  # the bit list lags the snapshot after a tree step
 
     child = 0  # only a walk assigns it, so it stays 0 while the tree is empty
-    bits = state.bits
     while steps < cap:
         if tree:
             node = 0
@@ -228,23 +225,16 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
                 if child <= 0:
                     break
                 node = child
-            if stale and not child:
-                bits[:] = map(int, reversed(f"{snap:0{dim}b}"))
-                stale = False
         if child < 0:
             i = ~child
             flip, r, w = leaves[i]
             snap ^= flip
             visits[i] += 1
-            stale = True
         else:
+            state.value = snap
             open_step()
             advance(state, ledger)
-            for p in write_set:
-                if bits[p]:
-                    snap |= 1 << p
-                else:
-                    snap &= ~(1 << p)
+            snap = state.value
             if len(read_set) < dim:
                 _graft(tree, leaves, leaf_ids, visits, prev, ledger, prev ^ snap, dim)
             r, w = close_step()

@@ -32,7 +32,6 @@ from .probes import (
     UsageError,
     field_is_zero,
     increment_field,
-    read_field,
 )
 
 ENCODINGS = ("binary", *sorted(GRAY_STEPS))
@@ -87,7 +86,7 @@ def _rank(kind: str, state: BitState, ledger: ProbeLedger, off: int, width: int)
     every bit."""
     if kind == "brgc":
         return brgc._rank_range_tracked(state, ledger, off, width)
-    return _rpgc_rank_table(width)[read_field(state, ledger, off, width)]
+    return _rpgc_rank_table(width)[ledger.read_run(state, off, width)]
 
 
 @lru_cache(maxsize=None)
@@ -99,10 +98,9 @@ def _rpgc_rank_table(width: int) -> dict:
         ledger.open_step()
         rpgc._step(state, ledger, 0, width, True)
         ledger.close_step()
-        value = state.to_int()
-        if value in table:
+        if state.value in table:
             raise UsageError(f"sub-code of width {width} is not space-optimal")
-        table[value] = r
+        table[state.value] = r
     return table
 
 
@@ -121,7 +119,7 @@ def _assign_int_field(
 
 def _lazy_core(state: BitState, ledger: ProbeLedger, n: int, width: int) -> int:
     """One base lazy step on (b, i); returns the new value of i."""
-    ival = read_field(state, ledger, n, width)
+    ival = ledger.read_run(state, n, width)
     if ledger.read(state, ival):
         ledger.write(state, ival, 0)
         new_i = (ival + 1) % n
@@ -164,15 +162,14 @@ def double_spin_increment(
         raise UsageError("double_spin_increment uses binary fields")
     k_off = layout.k_offset
     # k < 2^g - 1 iff some bit of k is 0; scan low to high, so only the
-    # rare all-ones case reads all g bits
-    kvals = ledger.read_run(state, k_off, layout.g, 0)
-    first_zero = len(kvals) - 1 if kvals[-1] == 0 else -1
-    if first_zero >= 0:
+    # rare all-ones case reads all g bits. The scan returns k's trailing 1s.
+    ones = ledger.read_run(state, k_off, layout.g, 0).bit_length()
+    if ones < layout.g:
         if increment_field(state, ledger, layout.i_offset, layout.width):
             # k+1 touches exactly the bits the scan above already read
-            for j in range(first_zero):
+            for j in range(ones):
                 ledger.write(state, k_off + j, 0)
-            ledger.write(state, k_off + first_zero, 1)
+            ledger.write(state, k_off + ones, 1)
     else:
         if _lazy_core(state, ledger, layout.n, layout.width) == 0:
             for j in range(layout.g):

@@ -16,12 +16,6 @@ from typing import Optional
 from .probes import UsageError
 
 
-def floor_log2(n: int) -> int:
-    if n < 1:
-        raise UsageError(f"floor_log2 requires n >= 1, got {n}")
-    return n.bit_length() - 1
-
-
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

@@ -11,37 +11,40 @@ reading them first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 
 class UsageError(ValueError):
     """A caller violated an operation's precondition."""
 
 
-class BitState:
-    """A fixed-dimension mutable bit string.
+# the most bits a state may hold. A step's read and write sets grow with the
+# dimension, so an unbounded one could exhaust memory; every counter and Gray
+# sub-code state is built through BitState, which checks it.
+MAX_DIM = 1 << 20
 
-    Index 0 is the least-significant bit (the first array element in all
+
+class BitState:
+    """A fixed-dimension mutable bit string, held as one int ``value``.
+
+    Bit 0 is the least-significant bit of ``value`` (the first bit in all
     counter step rules); the textual form prints bit dim-1 leftmost.
     """
 
-    __slots__ = ("dim", "bits")
+    __slots__ = ("dim", "value")
 
     def __init__(self, dim: int, bits: Optional[Sequence[int]] = None):
-        if dim < 1:
-            raise UsageError(f"dimension must be >= 1, got {dim}")
+        if not 1 <= dim <= MAX_DIM:
+            raise UsageError(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
         self.dim = dim
-        if bits is None:
-            self.bits: List[int] = [0] * dim
-        else:
+        self.value = 0
+        if bits is not None:
             if len(bits) != dim:
                 raise UsageError(f"expected {dim} bits, got {len(bits)}")
-            out = []
             for b in bits:
                 if b not in (0, 1):
                     raise UsageError(f"bit values must be 0 or 1, got {b!r}")
-                out.append(b)
-            self.bits = out
+            self.value = int("".join("1" if b else "0" for b in reversed(bits)), 2)
 
     @classmethod
     def zeros(cls, dim: int) -> "BitState":
@@ -52,44 +55,40 @@ class BitState:
         """Parse the canonical form: bit dim-1 leftmost, bit 0 rightmost."""
         if not text:
             raise UsageError("empty bit string")
-        bits = []
-        for ch in reversed(text):
-            if ch == "0":
-                bits.append(0)
-            elif ch == "1":
-                bits.append(1)
-            else:
-                raise UsageError(f"invalid character {ch!r} in bit string")
-        return cls(len(bits), bits)
+        bad = text.replace("0", "").replace("1", "")
+        if bad:
+            raise UsageError(f"invalid character {bad[0]!r} in bit string")
+        return cls.from_int(int(text, 2), len(text))
 
     @classmethod
     def from_int(cls, value: int, dim: int) -> "BitState":
+        state = cls(dim)
         if not 0 <= value < (1 << dim):
             raise UsageError(f"value {value} out of range for {dim} bits")
-        return cls(dim, [(value >> i) & 1 for i in range(dim)])
+        state.value = value
+        return state
+
+    @property
+    def bits(self) -> Tuple[int, ...]:
+        """The bits, bit 0 first; a read-only copy."""
+        return tuple(map(int, reversed(self.to_text())))
 
     def to_text(self) -> str:
-        return "".join("1" if b else "0" for b in reversed(self.bits))
-
-    def to_int(self) -> int:
-        value = 0
-        for i, b in enumerate(self.bits):
-            value |= b << i
-        return value
+        return format(self.value, f"0{self.dim}b")
 
     def copy(self) -> "BitState":
         dup = BitState.__new__(BitState)
         dup.dim = self.dim
-        dup.bits = list(self.bits)
+        dup.value = self.value
         return dup
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitState):
             return NotImplemented
-        return self.dim == other.dim and self.bits == other.bits
+        return self.dim == other.dim and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash((self.dim, tuple(self.bits)))
+        return hash((self.dim, self.value))
 
     def __repr__(self) -> str:
         return f"BitState({self.to_text()!r})"
@@ -131,7 +130,7 @@ class ProbeLedger:
         self._open = True
 
     def read(self, state: BitState, pos: int) -> int:
-        """Tracked read of ``state.bits[pos]``; charged once per step."""
+        """Tracked read of bit ``pos``; charged once per step."""
         if not self._open:
             raise UsageError("no open step")
         if pos < 0 or pos >= state.dim:
@@ -139,40 +138,42 @@ class ProbeLedger:
         rs = self.read_set
         if pos not in rs and pos not in self.write_set:
             rs.add(pos)
-        return state.bits[pos]
+        return (state.value >> pos) & 1
 
-    def read_run(self, state: BitState, off: int, width: int, stop: int = -1) -> list:
+    def read_run(self, state: BitState, off: int, width: int, stop: int = -1) -> int:
         """Tracked reads of bits ``off, off+1, ...``: all ``width`` of them,
         or up to and including the first bit equal to ``stop`` (0 or 1).
 
-        Returns the bits read. Charges, values and errors are exactly those
-        of the same loop of :meth:`read`; only positions actually read are
-        checked.
+        Returns the bits read as an int with bit ``off`` lowest, so a run
+        that stops returns its stop bit as the highest one read. Charges,
+        values and errors are exactly those of the same loop of
+        :meth:`read`; only positions actually read are checked.
         """
         if width <= 0:
-            return []
+            return 0
         if not self._open:
             raise UsageError("no open step")
         dim = state.dim
         if off < 0 or off >= dim:
             raise UsageError(f"read position {off} out of range for dim {dim}")
-        bits = state.bits
-        end = off + width
-        overrun = end > dim
-        if overrun:
-            end = dim
+        n = dim - off
+        if width < n:
+            n = width
+        mask = (1 << n) - 1
+        run = (state.value >> off) & mask
         if stop >= 0:
-            try:
-                end = bits.index(stop, off, end) + 1
-                overrun = False
-            except ValueError:
-                pass
-        run = range(off, end)
+            hits = run if stop else run ^ mask
+            if hits:
+                # the lowest hit is the stop bit: the run ends there
+                n = (hits & -hits).bit_length()
+                run &= (1 << n) - 1
+                width = n
+        end = off + n
         ws = self.write_set
-        self.read_set.update(set(run) - ws if ws else run)
-        if overrun:
+        self.read_set.update(set(range(off, end)) - ws if ws else range(off, end))
+        if width > n:
             raise UsageError(f"read position {dim} out of range for dim {dim}")
-        return bits[off:end]
+        return run
 
     def write(self, state: BitState, pos: int, val: int) -> None:
         """Tracked write; blind (does not charge a read)."""
@@ -183,7 +184,10 @@ class ProbeLedger:
         if val not in (0, 1):
             raise UsageError(f"bit values must be 0 or 1, got {val!r}")
         self.write_set.add(pos)
-        state.bits[pos] = val
+        if val:
+            state.value |= 1 << pos
+        else:
+            state.value &= ~(1 << pos)
 
     def close_step(self) -> Tuple[int, int]:
         """Return (distinct reads, distinct writes) and reset for the next step."""
@@ -208,28 +212,21 @@ class ProbeLedger:
 # reads from bit ``off`` upward, and the counters rely on that order.
 
 
-def read_field(state: BitState, ledger: ProbeLedger, off: int, width: int) -> int:
-    """The field as an integer with bit ``off`` lowest; reads every bit."""
-    value = 0
-    for j, v in enumerate(ledger.read_run(state, off, width)):
-        value |= v << j
-    return value
-
-
 def field_is_zero(state: BitState, ledger: ProbeLedger, off: int, width: int) -> bool:
     """All-zeros test that stops at the first 1."""
-    return 1 not in ledger.read_run(state, off, width, 1)
+    return not ledger.read_run(state, off, width, 1)
 
 
 def increment_field(state: BitState, ledger: ProbeLedger, off: int, width: int) -> bool:
     """Binary increment with carry: flip 1s upward until a 0 is flipped to
     1. Reads = writes = chain length. Returns True when the field wraps to
     all zeros."""
-    vals = ledger.read_run(state, off, width, 0)
-    # the chain is the 1s below the first 0 and that 0: flip each of them
-    for j, v in enumerate(vals):
-        ledger.write(state, off + j, v ^ 1)
-    return 0 not in vals
+    ones = ledger.read_run(state, off, width, 0)
+    # the chain is the 1s below the first 0 and that 0, or all width 1s
+    chain = (ones + 1).bit_length()
+    for j in range(min(chain, width)):
+        ledger.write(state, off + j, ((ones >> j) & 1) ^ 1)
+    return chain > width
 
 
 AdvanceFn = Callable[[BitState, ProbeLedger], None]

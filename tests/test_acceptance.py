@@ -113,11 +113,11 @@ def test_criterion_04_increment_then_decrement(d):
     state = make_counter("rpgc", dim=d).fresh_state()
     ok = True
     for _ in range(1 << d):
-        before = list(state.bits)
+        before = state.copy()
         _tracked(rpgc_increment, state)
         probe = state.copy()
         _tracked(rpgc_decrement, probe)
-        if probe.bits != before:
+        if probe != before:
             ok = False
             break
     check(4, f"increment/decrement inverse on the full d={d} cycle", ok)
@@ -128,11 +128,11 @@ def test_criterion_04_decrement_then_increment(d):
     state = make_counter("rpgc", dim=d).fresh_state()
     ok = True
     for _ in range(1 << d):
-        before = list(state.bits)
+        before = state.copy()
         _tracked(rpgc_decrement, state)
         probe = state.copy()
         _tracked(rpgc_increment, probe)
-        if probe.bits != before:
+        if probe != before:
             ok = False
             break
     check(4, f"decrement/increment inverse on the full d={d} cycle", ok)
@@ -287,10 +287,10 @@ def test_criterion_08_doublespin_g1_matches_spin_stepwise(n):
         ds.advance(s2, l2)
         c2 = l2.close_step()
         steps += 1
-        if s1.bits != s2.bits or c1 != c2:
+        if s1 != s2 or c1 != c2:
             ok = False
             break
-        if s1.to_int() == 0:
+        if s1.value == 0:
             break
     check(
         8,

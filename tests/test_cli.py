@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,31 @@ def test_steps_touching_2_16_bits_or_more_exit_0(capsys):
     assert run_cli(["cycle", "--counter", "rpgc", "--dim", "65536", "--cap", "3"]) == 0
     assert run_cli(["cycle", "--counter", "brgc", "--dim", "70000", "--cap", "1"]) == 0
     assert "avg_reads=70000 " in capsys.readouterr().out
+
+
+def test_a_state_past_the_dimension_bound_exits_2(capsys):
+    for argv in (
+        "cycle --counter brgc --dim 1048577 --cap 1",
+        "cycle --counter lazy --n 1048576 --cap 1",
+        "verify --counter wine --n 2 --g 1048576",
+        "cycle --counter composite --layers 1048576,1 --cap 1",
+    ):
+        assert run_cli(argv.split()) == 2
+        assert "dimension must be between 1 and 1048576" in capsys.readouterr().err
+
+
+def test_a_sweep_past_the_dimension_bound_exits_2_before_expanding(capsys):
+    # a range is checked before it is listed, so none of its values is built
+    tracemalloc.start()
+    try:
+        code = run_cli("bench --counter brgc --dims 1-1000000000000 --cap 1".split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    assert "goes past 1048576" in capsys.readouterr().err
+    # so is the count of values the ranges add up to
+    assert run_cli("bench --counter brgc --dims 2,1-1048576 --cap 1".split()) == 2
 
 
 def test_env_cap_override(monkeypatch, capsys):

@@ -22,13 +22,13 @@ from quasigray import (
     verify_quasi_gray,
 )
 from quasigray.harness import (
+    DEFAULT_CYCLE_CAP,
     cycle_cap_from_env,
     decimal_str,
     flatten_report,
     make_binary_counter,
     standard_binary_step,
 )
-from quasigray.probes import read_field
 from quasigray.reports import CSV_COLUMNS, csv_text, json_chunks, json_text
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -114,7 +114,7 @@ def test_collect_metrics_needs_a_closed_report():
 def _rho_step(state, ledger):
     # 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 2 on the low three bits: a tail that
     # runs into a loop missing the initial state; higher bits stay put
-    value = read_field(state, ledger, 0, 3)
+    value = ledger.read_run(state, 0, 3)
     after = value + 1 if value < 5 else 2
     for p in range(3):
         ledger.write(state, p, (after >> p) & 1)
@@ -277,7 +277,7 @@ def test_cycle_cap_env_override(monkeypatch):
     with pytest.raises(UsageError):
         cycle_cap_from_env()
     monkeypatch.delenv("QUASIGRAY_CYCLE_CAP")
-    assert cycle_cap_from_env(123) == 123
+    assert cycle_cap_from_env() == DEFAULT_CYCLE_CAP
 
 
 # the configurations of the benchmark's verify-sweep grid
@@ -323,7 +323,7 @@ def reference_cycle(counter, cap):
     the state compared and stored after each step."""
     state = counter.fresh_state()
     ledger = ProbeLedger()
-    start = prev = state.to_int()
+    start = prev = state.value
     seen = {start}
     reads, writes, hamming = [], [], []
     closed, distinct = False, True
@@ -331,7 +331,7 @@ def reference_cycle(counter, cap):
         ledger.open_step()
         counter.advance(state, ledger)
         r, w = ledger.close_step()
-        cur = state.to_int()
+        cur = state.value
         reads.append(r)
         writes.append(w)
         hamming.append(bin(prev ^ cur).count("1"))
@@ -518,7 +518,7 @@ def _charged_step(counter, value):
     reads = {p: (value >> p) & 1 for p in ledger.read_set}
     writes = {p: state.bits[p] for p in ledger.write_set}
     ledger.close_step()
-    return reads, writes, state.to_int()
+    return reads, writes, state.value
 
 
 @pytest.mark.parametrize("config", SWEEP_GRID, ids=_grid_id)
@@ -529,7 +529,7 @@ def test_steps_see_only_the_bits_they_charge(config):
     counter = make_counter(name, **kw)
     report = enumerate_cycle(counter)
     stride = max(1, report.length // 12)
-    value = counter.initial.to_int()
+    value = counter.initial.value
     for step in range(report.length):
         reads, writes, after = _charged_step(counter, value)
         if step % stride == 0:

@@ -33,17 +33,13 @@ def wine_length(n, g):
 
 
 def build_state(layout, b_bits, i=0, k=0):
-    bits = list(b_bits) + [0] * (layout.width + layout.g)
-    state = BitState(layout.dim, bits)
-    for j in range(layout.width):
-        state.bits[layout.i_offset + j] = (i >> j) & 1
-    for j in range(layout.g):
-        state.bits[layout.k_offset + j] = (k >> j) & 1
-    return state
+    i_bits = [(i >> j) & 1 for j in range(layout.width)]
+    k_bits = [(k >> j) & 1 for j in range(layout.g)]
+    return BitState(layout.dim, list(b_bits) + i_bits + k_bits)
 
 
 def fields(layout, state):
-    b = state.bits[: layout.n]
+    b = list(state.bits[: layout.n])
     i = sum(state.bits[layout.i_offset + j] << j for j in range(layout.width))
     k = sum(state.bits[layout.k_offset + j] << j for j in range(layout.g))
     return b, i, k
@@ -193,8 +189,8 @@ def test_doublespin_g1_walks_in_lockstep_with_spin():
             l2.open_step()
             ds.advance(s2, l2)
             assert l1.close_step() == l2.close_step()
-            assert s1.bits == s2.bits
-        assert s1.to_int() == 0
+            assert s1 == s2
+        assert s1.value == 0
 
 
 def test_wine_with_partition_sub_codes_keeps_the_same_cycle_length():

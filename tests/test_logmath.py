@@ -2,7 +2,6 @@ import math
 import time
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,21 +9,10 @@ from quasigray.bounds import LogLinearBound
 from quasigray.logmath import (
     _ln_sign,
     compare_with_log2,
-    floor_log2,
     is_power_of_two,
     iterated_log_at_least,
     log_star,
 )
-from quasigray.probes import UsageError
-
-
-def test_floor_log2():
-    assert floor_log2(1) == 0
-    assert floor_log2(2) == 1
-    assert floor_log2(255) == 7
-    assert floor_log2(256) == 8
-    with pytest.raises(UsageError):
-        floor_log2(0)
 
 
 def test_is_power_of_two():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quasigray import BitState, ProbeLedger, UsageError
 from quasigray import brgc, composite, lazy, rpgc
+from quasigray.probes import MAX_DIM
 
 
 def make_pair(dim=4):
@@ -100,7 +101,7 @@ def test_double_open_rejected():
 def test_bitstate_text_form_prints_high_bit_first():
     s = BitState(3, [1, 0, 0])  # bit 0 set
     assert s.to_text() == "001"
-    assert BitState.from_text("001").bits == [1, 0, 0]
+    assert BitState.from_text("001").bits == (1, 0, 0)
 
 
 def test_bitstate_parser_rejects_other_characters():
@@ -117,20 +118,48 @@ def test_bitstate_validation():
         BitState(2, [0, 2])
     with pytest.raises(UsageError):
         BitState.from_int(8, 3)
+    assert BitState.zeros(MAX_DIM).dim == MAX_DIM
+    for build in (
+        lambda: BitState.zeros(MAX_DIM + 1),
+        lambda: BitState.from_int(0, MAX_DIM + 1),
+        lambda: BitState.from_text("0" * (MAX_DIM + 1)),
+    ):
+        with pytest.raises(UsageError, match="dimension must be between"):
+            build()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40))
 def test_bitstate_text_round_trip(bits):
     s = BitState(len(bits), bits)
     assert BitState.from_text(s.to_text()) == s
-    assert BitState.from_int(s.to_int(), s.dim) == s
+    assert BitState.from_int(s.value, s.dim) == s
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_every_value_round_trips_through_bits_and_text(dim):
+    for value in range(1 << dim):
+        s = BitState.from_int(value, dim)
+        assert s.value == value
+        assert BitState(dim, s.bits) == s
+        assert BitState.from_text(s.to_text()) == s
+        assert s.bits == tuple((value >> i) & 1 for i in range(dim))
+        assert int(s.to_text(), 2) == value
+
+
+def test_bits_is_a_read_only_view():
+    s = BitState.from_int(5, 3)
+    with pytest.raises(TypeError):
+        s.bits[1] = 1
+    with pytest.raises(AttributeError):
+        s.bits = (0, 0, 0)
+    assert s.value == 5
 
 
 def _loop_of_read(state, ledger, off, width, stop):
-    out = []
+    out = 0
     for j in range(width):
         v = ledger.read(state, off + j)
-        out.append(v)
+        out |= v << j
         if v == stop:
             break
     return out
@@ -141,7 +170,7 @@ def _outcome(call, state, ledger, *args):
         result = call(state, ledger, *args)
     except UsageError as exc:
         result = ("UsageError", str(exc))
-    return result, set(ledger.read_set), set(ledger.write_set), list(state.bits)
+    return result, set(ledger.read_set), set(ledger.write_set), state.value
 
 
 @st.composite
@@ -189,10 +218,10 @@ def test_read_run_outside_a_step_is_a_usage_error():
 # attributes of BitState that expose its bits in bulk, and the only places in
 # the counter modules allowed to use them: brgc's untracked rank oracle, and
 # the rank table lazy builds, under its own ledger, for an rpgc pointer.
-BULK_VIEWS = {"bits", "to_int", "to_text", "copy"}
+BULK_VIEWS = {"value", "bits", "to_text", "copy"}
 BULK_VIEW_ALLOWED = {
-    ("brgc", "_rank_range", "bits"),
-    ("lazy", "_rpgc_rank_table", "to_int"),
+    ("brgc", "_rank_range", "value"),
+    ("lazy", "_rpgc_rank_table", "value"),
 }
 
 

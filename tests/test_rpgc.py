@@ -21,7 +21,7 @@ def apply_op(bits, op):
     ledger = fresh_ledger()
     op(state, ledger)
     reads, writes = ledger.close_step()
-    return state.bits, reads, writes
+    return list(state.bits), reads, writes
 
 
 def successor(bits):

@@ -33,7 +33,7 @@ def charge_digest(step, max_dim=12):
             step(state, ledger)
             line = (
                 f"{d} {value} {sorted(ledger.read_set)} "
-                f"{sorted(ledger.write_set)} {state.to_int()}\n"
+                f"{sorted(ledger.write_set)} {state.value}\n"
             )
             digest.update(line.encode())
             ledger.close_step()
