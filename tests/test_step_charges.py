@@ -1,10 +1,12 @@
-"""Pinned charges of the Gray code step functions in both directions.
+"""Pinned charges of the step functions.
 
-For every state of every dimension 1..12, each digest covers the step's
-read set, write set and next state. The values were taken from the
-hand-written increment/decrement and successor/predecessor pairs that the
-direction-parameterised steps replaced, so any change to a read order, a
-charge or a transition shows here.
+Each digest covers, for every state of the given dimensions, the step's
+read set, write set and next state, plus the name of any error it raised.
+The Gray code values were taken from the hand-written increment/decrement
+and successor/predecessor pairs that the direction-parameterised steps
+replaced, and the lazy family's from its four hand-written step functions
+(lazy, spin, doublespin and wine). Any change to a read order, a charge or a
+transition shows here.
 """
 
 import hashlib
@@ -13,6 +15,12 @@ import pytest
 
 from quasigray import BitState, ProbeLedger
 from quasigray.brgc import brgc_next, brgc_prev
+from quasigray.lazy import (
+    make_doublespin_counter,
+    make_lazy_counter,
+    make_spin_counter,
+    make_wine_counter,
+)
 from quasigray.rpgc import rpgc_decrement, rpgc_increment
 
 DIGESTS = {
@@ -23,20 +31,23 @@ DIGESTS = {
 }
 
 
-def charge_digest(step, max_dim=12):
+def charge_digest(step, dims):
     digest = hashlib.sha256()
-    for d in range(1, max_dim + 1):
+    for d in dims:
         for value in range(1 << d):
             state = BitState.from_int(value, d)
             ledger = ProbeLedger()
             ledger.open_step()
-            step(state, ledger)
+            try:
+                step(state, ledger)
+                error = ""
+            except Exception as exc:  # the error's name is part of the digest
+                error = f" {type(exc).__name__}"
             line = (
                 f"{d} {value} {sorted(ledger.read_set)} "
-                f"{sorted(ledger.write_set)} {state.value}\n"
+                f"{sorted(ledger.write_set)} {state.value}{error}\n"
             )
             digest.update(line.encode())
-            ledger.close_step()
     return digest.hexdigest()
 
 
@@ -44,4 +55,65 @@ def charge_digest(step, max_dim=12):
     "step", [rpgc_increment, rpgc_decrement, brgc_next, brgc_prev], ids=lambda f: f.__name__
 )
 def test_step_charges_match_the_pinned_digest(step):
-    assert charge_digest(step) == DIGESTS[step.__name__]
+    assert charge_digest(step, range(1, 13)) == DIGESTS[step.__name__]
+
+
+LAZY_DIGESTS = {
+    "lazy-2": "3c60a2fa08cf39724fb691bf9351e31ab23be1055de44aa1d15f3d11b4fe0317",
+    "lazy-4": "c9119cf0a1dc0899fbb3d613890f9d8f81ad28619853becd26846bfabbc389b6",
+    "lazy-8": "fa3a1ed6554a8f1e917494b4f88f1cd6f99b66f0997a29a6217e93117b266345",
+    "spin-2": "d70f9999c9817a862f7e8430a8ec65565474e5c670e5ee06528f843b3f1c91b0",
+    "spin-4": "cc8eb4b8724856e1ae0c3d1ab962b2a00e7fda06e52706ec0a6f478aa1127713",
+    "spin-8": "d073ec1de78446fd2d9f3f2585e371cb89c765d6e34fd5dd40e3f0b8b39e1abe",
+    "doublespin-2-1": "d70f9999c9817a862f7e8430a8ec65565474e5c670e5ee06528f843b3f1c91b0",
+    "doublespin-2-2": "c02cb4ca846021bfe06ebff208b52812f35c0395b8300b2915ec42af97739eca",
+    "doublespin-2-3": "6c1bb0222d21c7a78521710abddf2ac0d8ed67e8925515e0f558be25246eddec",
+    "doublespin-4-1": "cc8eb4b8724856e1ae0c3d1ab962b2a00e7fda06e52706ec0a6f478aa1127713",
+    "doublespin-4-2": "7d48833f321e3d5ef0561e61d88bd54c6964b2791cd3ed989ddaffe0ba3fbbd5",
+    "doublespin-4-3": "f3174729f1eda9df81eac05effa1c4d6aff81a422c7dcc1b5ab298384ec93888",
+    "doublespin-8-1": "d073ec1de78446fd2d9f3f2585e371cb89c765d6e34fd5dd40e3f0b8b39e1abe",
+    "doublespin-8-2": "ada7a269653d8e458b2d24c9b8a7a5b290191ef357b514a325b5ec534d03d0ee",
+    "doublespin-8-3": "ca87eee981b9e1d02a735377969021ff965d4e2d4adf73a7472529ef91576e97",
+    "wine-2-1-brgc": "c282bde991009891e521bf21a5dc96cb099af33fa5d99ba98286eae6eaf7b653",
+    "wine-2-2-brgc": "5d1d033e79bcf2dc49ffbdc8de2bd77f8b9ffc6eca5b68c40d2c4364194201d7",
+    "wine-2-3-brgc": "c5c3a28edb843c0998ff6bbc4b8a4deae92a0e86ef8b89f69ec5c98c2350c6d8",
+    "wine-4-1-brgc": "858851149b5b2a580f888f9a9feaecc49244ff8b986b4f4460d854514c585535",
+    "wine-4-2-brgc": "eea2dd00b3a24cd18da358a93a15d2aaaaf3809d8b600de69dea10597f902fcd",
+    "wine-4-3-brgc": "58f44f01a02b9552e638565b05f9f624033f63837e112cd47e15813dad1d2f8b",
+    "wine-8-1-brgc": "11528b4e954f3665f93315fd6a23efbda53983491fa06312912663e0b35e9e15",
+    "wine-8-2-brgc": "f582e477a5e393c41b83425def81c33c5a7a2ab1ffad1495d8a7d5e338261e21",
+    "wine-8-3-brgc": "403830bb541e42b8c4bd5b1b669b9e55e1b75b21b1e7c2727e689fcbc467b474",
+    "wine-2-1-rpgc": "c282bde991009891e521bf21a5dc96cb099af33fa5d99ba98286eae6eaf7b653",
+    "wine-2-2-rpgc": "e0936469dad699c3ba199c34095194bc946d0de3b3a4ada989c23d5b4edf2856",
+    "wine-2-3-rpgc": "9894591830b450704ee29a1dba081267796f605d19fad4fb2a8aa934322ecf16",
+    "wine-4-1-rpgc": "b210fa0e1b98d5215807e1fa01599839898a31aa9266f2bc6818140176f24ec3",
+    "wine-4-2-rpgc": "5290ad792c9313a03a055f6fb785ea9d4cf1bfb7d4155c642df6796aeeb4b672",
+    "wine-4-3-rpgc": "e90a3366d3cc65eadc75c437c378af884e1900e66e6dddf573b71731c188168e",
+    "wine-8-1-rpgc": "b29ea00cfe7ad2fce2d2cc86e80cc15230c8ff4acfc229e53a715e3151522337",
+    "wine-8-2-rpgc": "122d328159521576d240619614517443c1c4d1ee4a0e5e1e3da418c59f1b5be2",
+    "wine-8-3-rpgc": "b6f17cf680e635286977202ac18cea7e2f2bf88b0d1c0219c447d20a09affc75",
+}
+
+LAZY_LAYOUTS = (
+    [(make_lazy_counter, (n,)) for n in (2, 4, 8)]
+    + [(make_spin_counter, (n,)) for n in (2, 4, 8)]
+    + [(make_doublespin_counter, (n, g)) for n in (2, 4, 8) for g in (1, 2, 3)]
+    + [
+        (make_wine_counter, (n, g, e))
+        for e in ("brgc", "rpgc")
+        for n in (2, 4, 8)
+        for g in (1, 2, 3)
+    ]
+)
+
+
+def _layout_id(layout):
+    make, args = layout
+    return "-".join([make.__name__[5:-8], *map(str, args)])
+
+
+@pytest.mark.parametrize("layout", LAZY_LAYOUTS, ids=_layout_id)
+def test_lazy_family_charges_match_the_pinned_digest(layout):
+    make, args = layout
+    counter = make(*args)
+    assert charge_digest(counter.advance, [counter.dim]) == LAZY_DIGESTS[_layout_id(layout)]
