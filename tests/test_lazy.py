@@ -8,13 +8,10 @@ from quasigray.brgc import brgc_unrank
 from quasigray.cli import run_cli
 from quasigray.lazy import (
     LazyLayout,
-    double_spin_increment,
-    lazy_increment,
+    lazy_step,
     make_doublespin_counter,
     make_spin_counter,
     make_wine_counter,
-    spin_increment,
-    wine_increment,
 )
 
 #: enumerated lengths match these closed forms, derived by counting the
@@ -45,10 +42,10 @@ def fields(layout, state):
     return b, i, k
 
 
-def run(layout, state, op):
+def run(layout, state):
     ledger = ProbeLedger()
     ledger.open_step()
-    op(layout, state, ledger)
+    lazy_step(layout, state, ledger)
     return ledger.close_step()
 
 
@@ -63,13 +60,8 @@ def run(layout, state, op):
 def test_lazy_increment_transitions(b, i, b_after, i_after):
     layout = LazyLayout(4, 0)
     state = build_state(layout, b, i=i)
-    run(layout, state, lazy_increment)
+    run(layout, state)
     assert fields(layout, state) == (b_after, i_after, 0)
-
-
-def test_lazy_increment_rejects_wrong_layout():
-    with pytest.raises(UsageError):
-        lazy_increment(LazyLayout(4, 1), BitState.zeros(7), ProbeLedger())
 
 
 @pytest.mark.parametrize(
@@ -83,7 +75,7 @@ def test_lazy_increment_rejects_wrong_layout():
 def test_spin_increment_transitions(b, i, k, after):
     layout = LazyLayout(4, 1)
     state = build_state(layout, b, i=i, k=k)
-    run(layout, state, spin_increment)
+    run(layout, state)
     assert fields(layout, state) == after
 
 
@@ -98,7 +90,7 @@ def test_spin_increment_transitions(b, i, k, after):
 def test_double_spin_transitions(b, i, k, after):
     layout = LazyLayout(4, 2)
     state = build_state(layout, b, i=i, k=k)
-    run(layout, state, double_spin_increment)
+    run(layout, state)
     assert fields(layout, state) == after
 
 
@@ -113,7 +105,7 @@ def test_double_spin_transitions(b, i, k, after):
 def test_wine_transitions_small(b, i, k, after, writes):
     layout = LazyLayout(2, 1, encoding="brgc")
     state = build_state(layout, b, i=i, k=k)
-    _, w = run(layout, state, wine_increment)
+    _, w = run(layout, state)
     assert fields(layout, state) == after
     assert w == writes
 
@@ -123,6 +115,13 @@ def test_wine_rejects_binary_encoding():
         make_wine_counter(4, 1, encoding="binary")
     with pytest.raises(UsageError):
         LazyLayout(3, 1)
+
+
+def test_phase_counters_reject_an_empty_phase_field():
+    # at g = 0 the rule is the base lazy counter, which has its own name
+    for make, args in [(make_doublespin_counter, (4, 0)), (make_wine_counter, (4, 0))]:
+        with pytest.raises(UsageError, match="need g >= 1"):
+            make(*args)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -206,20 +205,21 @@ def test_wine_with_partition_sub_codes_keeps_the_same_cycle_length():
 @pytest.mark.parametrize("width", range(1, 13))
 def test_max_pattern_is_the_state_of_highest_rank(width):
     last = (1 << width) - 1
-    assert lazy._max_pattern("brgc", width) == tuple(brgc_unrank(last, width).bits)
+    assert lazy._max_state("binary", width) == last
+    assert lazy._max_state("brgc", width) == brgc_unrank(last, width).value
     state = BitState.zeros(width)
     ledger = ProbeLedger()
     for _ in range(last):
         ledger.open_step()
         rpgc._step(state, ledger, 0, width, True)
         ledger.close_step()
-    assert lazy._max_pattern("rpgc", width) == tuple(state.bits)
+    assert lazy._max_state("rpgc", width) == state.value
 
 
 def test_one_wine_step_with_a_wide_phase_field_stays_small(capsys):
     # the first step reads k, which is not at its maximal state, and never
     # ranks i: nothing of size 2^g is built for the 20-bit phase field
-    lazy._max_pattern.cache_clear()
+    lazy._max_state.cache_clear()
     lazy._rpgc_rank_table.cache_clear()
     argv = "cycle --counter wine --n 2 --g 20 --encoding rpgc --cap 1".split()
     tracemalloc.start()
