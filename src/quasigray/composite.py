@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from . import brgc, rpgc
-from .logmath import iterated_floor_log, iterated_log_at_least, log_star
+from .logmath import iterated_log_at_least, log_star
 from .probes import BitState, CounterSpec, ProbeLedger, UsageError, field_is_zero
 
 # the Gray sub-code kinds a layer or a lazy sub-field may use, each mapped
@@ -102,8 +102,8 @@ def auto_plan(d: int, c: int) -> LayerPlan:
     """Recursive split achieving worst-case writes c.
 
     c = 1 is the plain single-layer code. For c > 1 the construction needs
-    log^(2c-1)(d) >= 11, which no storable d satisfies; the check is exact
-    and failing it raises :class:`PreconditionError`.
+    log^(2c-1)(d) >= 11, so d >= 2^(2^2048), which no Python int reaches;
+    the check is exact and failing it raises :class:`PreconditionError`.
     """
     if d < 1:
         raise UsageError(f"dimension must be >= 1, got {d}")
@@ -116,13 +116,7 @@ def auto_plan(d: int, c: int) -> LayerPlan:
             f"log^({2 * c - 1})({d}) >= 11 does not hold; "
             f"the c={c} construction needs a far larger dimension"
         )
-    # outer layer dimension ceil(log2(6*log^(2c-3)(d) + 11)), per the
-    # inductive split; unreachable in practice but kept exact in shape
-    x = iterated_floor_log(d, 2 * c - 3)
-    r = 6 * x + 11
-    d_outer = (r - 1).bit_length()
-    inner = auto_plan(d - d_outer, c - 1)
-    return LayerPlan(inner.layers + (Layer("rpgc", d_outer),), claimed_writes=c)
+    raise AssertionError(f"log^({2 * c - 1})({d}) >= 11 holds for no storable d")
 
 
 _T16 = 1 << 16

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from typing import Optional
 
 from .probes import UsageError
 
@@ -30,19 +29,12 @@ def iterated_log_at_least(d: int, k: int, threshold: int) -> bool:
         raise UsageError(f"iterated log requires d >= 1, got {d}")
     if k < 0 or threshold < 1:
         raise UsageError("k must be >= 0 and threshold >= 1")
-    v = iterated_floor_log(d, k)
-    return v is not None and v >= threshold
-
-
-def iterated_floor_log(d: int, k: int) -> Optional[int]:
-    """floor(log2) applied k times to d, or None once the value drops below 1
-    before the last application."""
     v = d
     for _ in range(k):
         if v < 1:
-            return None
+            return False
         v = v.bit_length() - 1
-    return v
+    return v >= threshold
 
 
 def log_star(n: int) -> int:
