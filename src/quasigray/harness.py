@@ -334,10 +334,26 @@ DECIMAL_DIGITS = 10
 
 def decimal_str(value: Fraction) -> str:
     """Deterministic decimal rendering to :data:`DECIMAL_DIGITS` significant
-    digits."""
+    digits, with the text of ``Decimal`` division.
+
+    The quotient is taken with integers, scaled to DECIMAL_DIGITS + 2 or more
+    digits (log10 2 < 0.30103), so no huge operand reaches ``Decimal``. An
+    inexact one lies strictly between two consecutive scaled integers, where
+    no rounding tie falls, so it rounds as the floor with a digit 1 appended.
+    Only an exact quotient, whose text drops trailing zeros, is divided."""
+    num, den = value.numerator, value.denominator
+    bits = den.bit_length() - num.bit_length() + 1
+    shift = DECIMAL_DIGITS + 2 - (-bits * 30103 // 100000)
+    if shift >= 0:
+        q, r = divmod(num * 10**shift, den)
+    else:
+        q, r = divmod(num, den * 10**-shift)
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+        if r:
+            quotient = Decimal(10 * q + 1).scaleb(-shift - 1)
+        else:
+            quotient = Decimal(num) / Decimal(den)
     return str(quotient)
 
 

@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from quasigray import (
     verify_quasi_gray,
 )
 from quasigray.harness import (
+    DECIMAL_DIGITS,
     DEFAULT_CYCLE_CAP,
     cycle_cap_from_env,
     decimal_str,
@@ -250,6 +252,26 @@ def test_decimal_rendering_is_ten_significant_digits():
     assert decimal_str(Fraction(1, 3)) == "0.3333333333"
     assert decimal_str(Fraction(7, 4)) == "1.75"
     assert decimal_str(Fraction(262142, 262144)) == "0.9999923706"
+    # the space efficiency of a state at the 2^20-bit bound, without
+    # building a Decimal of its 315,653-digit denominator
+    assert decimal_str(Fraction(1, 1 << (1 << 20))) == "1.483428591E-315653"
+
+
+def test_decimal_rendering_matches_decimal_division():
+    rng = random.Random(11)
+    values = [Fraction(a, b) for a in range(-40, 41) for b in range(1, 50)]
+    for k in range(60):
+        for base in (2, 3, 5, 10):
+            values += [Fraction(1, base**k), Fraction(base**k + 1, base ** (k + 1))]
+        # exact ties at the tenth digit and exact quotients with trailing zeros
+        values += [Fraction(12345678905, 10**k), Fraction(99999999995, 10**k)]
+        values += [Fraction(10**k, 4), Fraction(-(10**k), 8)]
+    for _ in range(3000):
+        values.append(Fraction(rng.getrandbits(150) - (1 << 149), rng.getrandbits(150) + 1))
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        for v in values:
+            assert decimal_str(v) == str(Decimal(v.numerator) / Decimal(v.denominator)), v
 
 
 def test_every_counter_writes_each_step_within_dim(cycle_report):
