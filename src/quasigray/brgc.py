@@ -6,8 +6,8 @@ The predecessor is the successor with the parity test reversed, so one
 step function, ``_step_range``, takes the direction.
 
 rank/unrank use the closed form ``gray = r XOR (r >> 1)`` and serve as the
-independent oracle for the step functions; they are pure unless the
-ledger-charging variant is requested.
+independent oracle for the step functions. They are pure: ``lazy`` charges
+the reads of the rank it takes of a Gray pointer.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ def _gray_rank(gray: int) -> int:
 def _rank_range(state: BitState, off: int, n: int) -> int:
     # the untracked oracle: the one place a counter module reads bits directly
     return _gray_rank((state.value >> off) & ((1 << n) - 1))
-
-
-def _rank_range_tracked(state: BitState, ledger: ProbeLedger, off: int, n: int) -> int:
-    return _gray_rank(ledger.read_run(state, off, n))
 
 
 def brgc_next(state: BitState, ledger: ProbeLedger) -> None:

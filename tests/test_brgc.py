@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasigray import BitState, ProbeLedger, UsageError
+from quasigray import BitState, ProbeLedger, UsageError, lazy
 from quasigray.brgc import (
-    _rank_range_tracked,
     brgc_next,
     brgc_prev,
     brgc_rank,
@@ -66,7 +65,7 @@ def test_tracked_rank_charges_every_bit():
     state = BitState.from_text("0110")
     ledger = ProbeLedger()
     ledger.open_step()
-    assert _rank_range_tracked(state, ledger, 0, 4) == brgc_rank(state)
+    assert lazy._rank("brgc", state, ledger, 0, 4) == brgc_rank(state)
     assert ledger.close_step() == (4, 0)
 
 
