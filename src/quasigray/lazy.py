@@ -143,11 +143,8 @@ def lazy_step(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> None:
             return
     pos = _rank(kind, state, ledger, i_off, width)
     if ledger.read(state, pos):
-        # i steps before b is written, so its re-read of i skips the write
-        # set; the two fields are disjoint, so the charges are the same
-        wrapped = _forward(kind, state, ledger, i_off, width)
         ledger.write(state, pos, 0)
-        if not wrapped:
+        if not _forward(kind, state, ledger, i_off, width):
             return
     else:
         ledger.write(state, pos, 1)
@@ -157,7 +154,8 @@ def lazy_step(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> None:
                 ledger.write(state, i_off + low.bit_length() - 1, 0)
                 pos ^= low
     # from its maximum, k's step reads nothing new and writes back to 0
-    _forward(kind, state, ledger, k_off, g)
+    if g:
+        _forward(kind, state, ledger, k_off, g)
 
 
 def _lazy_counter(name: str, layout: LazyLayout, claimed_c: int) -> CounterSpec:
