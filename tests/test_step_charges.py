@@ -92,6 +92,7 @@ LAZY_DIGESTS = {
     "wine-8-1-rpgc": "b29ea00cfe7ad2fce2d2cc86e80cc15230c8ff4acfc229e53a715e3151522337",
     "wine-8-2-rpgc": "122d328159521576d240619614517443c1c4d1ee4a0e5e1e3da418c59f1b5be2",
     "wine-8-3-rpgc": "b6f17cf680e635286977202ac18cea7e2f2bf88b0d1c0219c447d20a09affc75",
+    "wine-2-9-rpgc": "5e4a6dba08b236044c1100ea8460c58c490341a4f306b79264ccabde2fae9067",
 }
 
 LAZY_LAYOUTS = (
@@ -104,6 +105,9 @@ LAZY_LAYOUTS = (
         for n in (2, 4, 8)
         for g in (1, 2, 3)
     ]
+    # the smallest rpgc phase field where a zero test after k's spin-phase
+    # step would read bits that the step did not
+    + [(make_wine_counter, (2, 9, "rpgc"))]
 )
 
 
