@@ -97,6 +97,12 @@ class CycleReport:
         return self._columns
 
 
+# grafted paths test fewer positions than this, so that at large dimensions,
+# where a step may read half the bits, the tree costs no work in proportion
+# to the dimension; below 64 bits, only the dimension bounds a path
+_MAX_PATH = 64
+
+
 def _graft(
     tree: array,
     leaves: list,
@@ -105,7 +111,7 @@ def _graft(
     snap: int,
     ledger: ProbeLedger,
     flip: int,
-    dim: int,
+    longest: int,
 ) -> None:
     """Add the read path of the step the ledger just charged, taken from
     state ``snap`` and flipping the bits of ``flip``, below the tree node
@@ -116,32 +122,35 @@ def _graft(
     without reading them, in position order. A state that reaches the new
     leaf therefore agrees with ``snap`` on every bit the step read, so the
     step does the same to it, and on every bit it wrote, so it flips the
-    same bits: applying the leaf is ``state ^ flip``. A path that tests all
-    ``dim`` bits pins one state, which cannot recur before the cycle
-    closes, so it is not added.
+    same bits: applying the leaf is ``state ^ flip``. A path of ``longest``
+    positions or more is not added: one that tests all ``dim`` bits pins
+    one state, which cannot recur before the cycle closes, and one of
+    ``_MAX_PATH`` or more costs tree work in proportion to its length.
     """
-    walked = set()
+    walked = 0
     slot = -1
     node = 0
     while tree:
         pos = tree[node]
-        walked.add(pos)
+        walked |= 1 << pos
         slot = node + 1 + ((snap >> pos) & 1)
         node = tree[slot]
         if not node:
             break
-    read_set = ledger.read_set
-    rest = sorted(read_set.difference(walked))
-    rest += sorted(ledger.write_set.difference(read_set, walked))
-    if not 0 < len(walked) + len(rest) < dim:
+    rmask, wmask = ledger.rmask, ledger.wmask
+    if not 0 < (walked | rmask | wmask).bit_count() < longest:
         return
-    leaf = (flip, len(read_set), len(ledger.write_set))
-    for pos in rest:
-        node = len(tree)
-        if slot >= 0:
-            tree[slot] = node
-        tree.extend((pos, 0, 0))
-        slot = node + 1 + ((snap >> pos) & 1)
+    leaf = (flip, rmask.bit_count(), wmask.bit_count())
+    for rest in (rmask & ~walked, wmask & ~rmask & ~walked):
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            pos = low.bit_length() - 1
+            node = len(tree)
+            if slot >= 0:
+                tree[slot] = node
+            tree.extend((pos, 0, 0))
+            slot = node + 1 + ((snap >> pos) & 1)
     i = leaf_ids.setdefault(leaf, len(leaves))
     if i == len(leaves):
         leaves.append(leaf)
@@ -191,7 +200,7 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
     advance = counter.advance
     open_step = ledger.open_step
     close_step = ledger.close_step
-    read_set = ledger.read_set
+    longest = min(dim, _MAX_PATH)
 
     snap0 = state.value
     snap = snap0
@@ -235,8 +244,8 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
             open_step()
             advance(state, ledger)
             snap = state.value
-            if len(read_set) < dim:
-                _graft(tree, leaves, leaf_ids, visits, prev, ledger, prev ^ snap, dim)
+            if ledger.rmask.bit_count() < longest:
+                _graft(tree, leaves, leaf_ids, visits, prev, ledger, prev ^ snap, longest)
             r, w = close_step()
             # a leaf changes as many bits as the step that grafted it, so
             # the interpreted steps hold the maximum

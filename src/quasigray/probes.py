@@ -6,12 +6,18 @@ per generating step, the way a decision assignment tree would: a bit that was
 already read or written within the current step is known on the tree path and
 costs nothing to consult again, and leaf rules may write bits blindly without
 reading them first.
+
+The ledger keeps a step's charges as two int masks, one bit per position,
+and counts them with ``bit_count``. Besides single reads, it scans a run of
+positions (``read_run``), two runs pair by pair (``read_pairs``) and two
+runs zipped against wanted bits (``read_zip``), each in one call, with the
+charges, values and errors of the loop of single reads it stands for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 
 class UsageError(ValueError):
@@ -97,15 +103,23 @@ class BitState:
 class ProbeLedger:
     """Charges distinct bit positions read and written per step.
 
-    A position enters ``read_set`` only if it was neither read nor written
-    earlier in the same step; writes always enter ``write_set`` (set
-    semantics, so rewriting a position costs one write). ``close_step``
-    folds the step into the running totals and maxima.
+    A step's charges are two masks. Bit ``pos`` of ``rmask`` is set when
+    position ``pos`` was read while it was neither read nor written earlier
+    in the step; bit ``pos`` of ``wmask`` when it was written, so rewriting
+    a position costs one write. ``read_set`` and ``write_set`` are
+    read-only set views of them. ``close_step`` folds the step into the
+    running totals and maxima.
+
+    Besides single reads and writes, three scans each charge, return and
+    raise exactly what their loop of :meth:`read` would, in one call:
+    :meth:`read_run` reads a run of positions, :meth:`read_pairs` compares
+    two runs pair by pair, and :meth:`read_zip` tests two runs, zipped, for
+    wanted bits. Each checks only the positions it actually reads.
     """
 
     __slots__ = (
-        "read_set",
-        "write_set",
+        "rmask",
+        "wmask",
         "steps",
         "total_reads",
         "total_writes",
@@ -115,14 +129,24 @@ class ProbeLedger:
     )
 
     def __init__(self):
-        self.read_set: set = set()
-        self.write_set: set = set()
+        self.rmask = 0
+        self.wmask = 0
         self.steps = 0
         self.total_reads = 0
         self.total_writes = 0
         self.max_reads = 0
         self.max_writes = 0
         self._open = False
+
+    @property
+    def read_set(self) -> FrozenSet[int]:
+        """Positions charged as reads in the open step."""
+        return frozenset(_positions(self.rmask))
+
+    @property
+    def write_set(self) -> FrozenSet[int]:
+        """Positions written in the open step."""
+        return frozenset(_positions(self.wmask))
 
     def open_step(self) -> None:
         if self._open:
@@ -135,9 +159,9 @@ class ProbeLedger:
             raise UsageError("no open step")
         if pos < 0 or pos >= state.dim:
             raise UsageError(f"read position {pos} out of range for dim {state.dim}")
-        rs = self.read_set
-        if pos not in rs and pos not in self.write_set:
-            rs.add(pos)
+        bit = 1 << pos
+        if not self.wmask & bit:
+            self.rmask |= bit
         return (state.value >> pos) & 1
 
     def read_run(self, state: BitState, off: int, width: int, stop: int = -1) -> int:
@@ -145,9 +169,7 @@ class ProbeLedger:
         or up to and including the first bit equal to ``stop`` (0 or 1).
 
         Returns the bits read as an int with bit ``off`` lowest, so a run
-        that stops returns its stop bit as the highest one read. Charges,
-        values and errors are exactly those of the same loop of
-        :meth:`read`; only positions actually read are checked.
+        that stops returns its stop bit as the highest one read.
         """
         if width <= 0:
             return 0
@@ -166,14 +188,65 @@ class ProbeLedger:
             if hits:
                 # the lowest hit is the stop bit: the run ends there
                 n = (hits & -hits).bit_length()
-                run &= (1 << n) - 1
+                mask = (1 << n) - 1
+                run &= mask
                 width = n
-        end = off + n
-        ws = self.write_set
-        self.read_set.update(set(range(off, end)) - ws if ws else range(off, end))
+        self.rmask |= (mask << off) & ~self.wmask
         if width > n:
             raise UsageError(f"read position {dim} out of range for dim {dim}")
         return run
+
+    def read_pairs(self, state: BitState, a: int, b: int, n: int) -> int:
+        """Tracked reads of ``a, b, a+1, b+1, ...`` that stop after the
+        first pair of unequal bits; returns that pair's index, or ``n``
+        when all ``n`` pairs are equal."""
+        dim = state.dim
+        if n <= 0 or not self._open or a < 0 or b < 0 or a + n > dim or b + n > dim:
+            # a scan that raises, or reads nothing, is its loop
+            for i in range(n):
+                if self.read(state, a + i) != self.read(state, b + i):
+                    return i
+            return n
+        value = state.value
+        mask = (1 << n) - 1
+        diff = ((value >> a) ^ (value >> b)) & mask
+        if diff:
+            # the scan stops after the lowest unequal pair
+            low = diff & -diff
+            mask = (low << 1) - 1
+            n = low.bit_length() - 1
+        self.rmask |= ((mask << a) | (mask << b)) & ~self.wmask
+        return n
+
+    def read_zip(self, state: BitState, a: int, b: int, n: int, want_a: int, want_b: int) -> bool:
+        """Tracked reads of ``a, b, a+1, b+1, ...`` that stop right after
+        the first bit that differs from its wanted bit: bit ``i`` of
+        ``want_a`` for position ``a+i``, of ``want_b`` for ``b+i``. True
+        when all ``2n`` bits are as wanted."""
+        dim = state.dim
+        if n <= 0 or not self._open or a < 0 or b < 0 or a + n > dim or b + n > dim:
+            # a scan that raises, or reads nothing, is its loop
+            for i in range(n):
+                if self.read(state, a + i) != (want_a >> i) & 1:
+                    return False
+                if self.read(state, b + i) != (want_b >> i) & 1:
+                    return False
+            return True
+        value = state.value
+        mask = (1 << n) - 1
+        # bit n stands for "no miss", so each lowest bit is the run's end
+        low_a = ((value >> a) ^ want_a) & mask | (mask + 1)
+        low_b = ((value >> b) ^ want_b) & mask | (mask + 1)
+        low_a &= -low_a
+        low_b &= -low_b
+        if low_a <= low_b:
+            # a's miss ends the scan: b is read up to the pair before it
+            mask_a = ((low_a << 1) - 1) & mask
+            mask_b = low_a - 1
+        else:
+            mask_a = mask_b = (low_b << 1) - 1
+        self.rmask |= ((mask_a << a) | (mask_b << b)) & ~self.wmask
+        return low_a == low_b > mask
 
     def write(self, state: BitState, pos: int, val: int) -> None:
         """Tracked write; blind (does not charge a read)."""
@@ -183,29 +256,36 @@ class ProbeLedger:
             raise UsageError(f"write position {pos} out of range for dim {state.dim}")
         if val not in (0, 1):
             raise UsageError(f"bit values must be 0 or 1, got {val!r}")
-        self.write_set.add(pos)
+        bit = 1 << pos
+        self.wmask |= bit
         if val:
-            state.value |= 1 << pos
+            state.value |= bit
         else:
-            state.value &= ~(1 << pos)
+            state.value &= ~bit
 
     def close_step(self) -> Tuple[int, int]:
         """Return (distinct reads, distinct writes) and reset for the next step."""
         if not self._open:
             raise UsageError("no open step")
-        r = len(self.read_set)
-        w = len(self.write_set)
+        r = self.rmask.bit_count()
+        w = self.wmask.bit_count()
         self.total_reads += r
         self.total_writes += w
         if r > self.max_reads:
             self.max_reads = r
         if w > self.max_writes:
             self.max_writes = w
-        self.read_set.clear()
-        self.write_set.clear()
+        self.rmask = 0
+        self.wmask = 0
         self.steps += 1
         self._open = False
         return r, w
+
+
+def _positions(mask: int) -> List[int]:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    text = bin(mask)[:1:-1]
+    return [pos for pos, bit in enumerate(text) if bit == "1"]
 
 
 # Tracked operations on a field of ``width`` bits starting at ``off``; each

@@ -21,6 +21,12 @@ depends on them:
 * the minimum-state test reads W's second half first, zigzagging across
   its quarters, then the first half back to front, matching the prefix of
   the successor comparison used by the decrement.
+
+Each of these scans is one ledger call with the charges of its loop of
+single reads: ``read_pairs`` for an equality comparison, ``read_zip`` for
+the maximum-state test and the quarter zigzag, and a zero test
+(``read_run`` stopping at the first 1) for each half of W's first half. A
+step therefore makes O(log d) ledger calls, however many bits it reads.
 """
 
 from __future__ import annotations
@@ -29,22 +35,13 @@ from .probes import BitState, CounterSpec, ProbeLedger, field_is_zero
 
 
 def _equal(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) -> bool:
-    for i in range(n):
-        if led.read(s, off_a + i) != led.read(s, off_b + i):
-            return False
-    return True
+    return led.read_pairs(s, off_a, off_b, n) == n
 
 
 def _is_max(s: BitState, led: ProbeLedger, off: int, n: int) -> bool:
     # target is 1 followed by zeros; n is even (the tail of an odd string)
     h = n >> 1
-    for i in range(h):
-        want = 1 if i == 0 else 0
-        if led.read(s, off + i) != want:
-            return False
-        if led.read(s, off + h + i) != 0:
-            return False
-    return True
+    return led.read_zip(s, off, off + h, h, 1, 0)
 
 
 def _is_min(s: BitState, led: ProbeLedger, off: int, n: int) -> bool:
@@ -53,21 +50,11 @@ def _is_min(s: BitState, led: ProbeLedger, off: int, n: int) -> bool:
     h = n >> 1
     b = off + h
     q = h >> 1
-    for i in range(q):
-        if led.read(s, b + i):
-            return False
-        if led.read(s, b + q + i):
-            return False
-    if h & 1:
-        if led.read(s, b + h - 1):
-            return False
-    for i in range(h >> 1, h):
-        if led.read(s, off + i):
-            return False
-    for i in range(h >> 1):
-        if led.read(s, off + i):
-            return False
-    return True
+    if not led.read_zip(s, b, b + q, q, 0, 0):
+        return False
+    if h & 1 and led.read(s, b + h - 1):
+        return False
+    return field_is_zero(s, led, off + q, h - q) and field_is_zero(s, led, off, q)
 
 
 def _compare_inc(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) -> bool:

@@ -522,6 +522,20 @@ def test_enumeration_memory_does_not_grow_with_the_steps(name, kw, cap):
     assert report.step_writes is report.step_writes
 
 
+def test_grafts_stop_short_of_long_read_paths():
+    # each of the first steps of a 2^18-bit composite compares two layers
+    # half the size of the string; grafting those paths held about 22 MiB
+    counter = make_counter("composite", layers=[131072, 131072])
+    tracemalloc.start()
+    try:
+        report = enumerate_cycle(counter, cap=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.length == report.interpreted_steps == 3
+    assert peak < 1024 * 1024
+
+
 def test_per_step_arrays_stay_out_of_equality_and_repr():
     counter = make_counter("rpgc", dim=5)
     fresh, read = enumerate_cycle(counter), enumerate_cycle(counter)

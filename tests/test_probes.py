@@ -165,6 +165,22 @@ def _loop_of_read(state, ledger, off, width, stop):
     return out
 
 
+def _loop_of_pairs(state, ledger, a, b, n):
+    for i in range(n):
+        if ledger.read(state, a + i) != ledger.read(state, b + i):
+            return i
+    return n
+
+
+def _loop_of_zip(state, ledger, a, b, n, want_a, want_b):
+    for i in range(n):
+        if ledger.read(state, a + i) != (want_a >> i) & 1:
+            return False
+        if ledger.read(state, b + i) != (want_b >> i) & 1:
+            return False
+    return True
+
+
 def _outcome(call, state, ledger, *args):
     try:
         result = call(state, ledger, *args)
@@ -173,28 +189,12 @@ def _outcome(call, state, ledger, *args):
     return result, set(ledger.read_set), set(ledger.write_set), state.value
 
 
-@st.composite
-def _run_cases(draw):
-    dim = draw(st.integers(min_value=1, max_value=12))
-    bits = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
-    position = st.integers(min_value=0, max_value=dim - 1)
-    reads = draw(st.lists(position, max_size=dim))
-    writes = draw(st.lists(st.tuples(position, st.integers(0, 1)), max_size=dim))
-    off = draw(st.integers(min_value=-1, max_value=dim))
-    width = draw(st.integers(min_value=0, max_value=dim + 1))
-    stop = draw(st.sampled_from([-1, 0, 1]))
-    return dim, bits, reads, writes, off, width, stop
-
-
-@settings(max_examples=1000)
-@given(_run_cases())
-def test_read_run_charges_like_the_loop_of_read(case):
-    dim, bits, reads, writes, off, width, stop = case
+def _same_as_the_loop(loop, scan, case, *args):
+    """Run ``loop`` and ``scan`` on equal states, each in a step that has
+    already made the case's reads and writes, and compare the outcomes."""
+    dim, bits, reads, writes = case
     outcomes = []
-    for call in (
-        _loop_of_read,
-        lambda s, led, *args: led.read_run(s, *args),
-    ):
+    for call in (loop, scan):
         state = BitState(dim, bits)
         ledger = ProbeLedger()
         ledger.open_step()
@@ -202,15 +202,103 @@ def test_read_run_charges_like_the_loop_of_read(case):
             ledger.read(state, pos)
         for pos, val in writes:
             ledger.write(state, pos, val)
-        outcomes.append(_outcome(call, state, ledger, off, width, stop))
+        outcomes.append(_outcome(call, state, ledger, *args))
     assert outcomes[1] == outcomes[0]
+
+
+@st.composite
+def _step_so_far(draw, dim):
+    """A state's bits and the reads and writes its open step has made."""
+    bits = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
+    position = st.integers(min_value=0, max_value=dim - 1)
+    reads = draw(st.lists(position, max_size=dim))
+    writes = draw(st.lists(st.tuples(position, st.integers(0, 1)), max_size=dim))
+    return dim, bits, reads, writes
+
+
+@st.composite
+def _run_cases(draw):
+    dim = draw(st.integers(min_value=1, max_value=12))
+    off = draw(st.integers(min_value=-1, max_value=dim))
+    width = draw(st.integers(min_value=0, max_value=dim + 1))
+    stop = draw(st.sampled_from([-1, 0, 1]))
+    return draw(_step_so_far(dim)), off, width, stop
+
+
+@settings(max_examples=1000)
+@given(_run_cases())
+def test_read_run_charges_like_the_loop_of_read(case):
+    step, off, width, stop = case
+    _same_as_the_loop(
+        _loop_of_read, lambda s, led, *args: led.read_run(s, *args), step, off, width, stop
+    )
+
+
+def _bits_at(bits, off, n):
+    """The in-range bits of positions off .. off+n-1, bit off lowest."""
+    return sum(bits[off + i] << i for i in range(n) if 0 <= off + i < len(bits))
+
+
+@st.composite
+def _pair_cases(draw):
+    """Two runs of n positions, out of range or negative at times, over bits
+    in which run b often starts as a copy of run a, so that scans also run
+    to the end; and wanted bits that often differ from the actual ones in
+    a single bit or not at all."""
+    dim = draw(st.integers(min_value=1, max_value=12))
+    a = draw(st.integers(min_value=-2, max_value=dim + 1))
+    b = draw(st.integers(min_value=-2, max_value=dim + 1))
+    n = draw(st.integers(min_value=-1, max_value=dim + 1))
+    dim, bits, reads, writes = draw(_step_so_far(dim))
+    if draw(st.booleans()):
+        for i in range(n):
+            if 0 <= a + i < dim and 0 <= b + i < dim:
+                bits[b + i] = bits[a + i]
+    noise = st.one_of(
+        st.just(0),
+        st.integers(min_value=0, max_value=dim).map(lambda i: 1 << i),
+        st.integers(min_value=0, max_value=(1 << (dim + 2)) - 1),
+    )
+    want_a = _bits_at(bits, a, n) ^ draw(noise)
+    want_b = _bits_at(bits, b, n) ^ draw(noise)
+    return (dim, bits, reads, writes), a, b, n, want_a, want_b
+
+
+@settings(max_examples=1000)
+@given(_pair_cases())
+def test_read_pairs_charges_like_the_loop_of_read(case):
+    step, a, b, n, _, _ = case
+    _same_as_the_loop(
+        _loop_of_pairs, lambda s, led, *args: led.read_pairs(s, *args), step, a, b, n
+    )
+
+
+@settings(max_examples=1000)
+@given(_pair_cases())
+def test_read_zip_charges_like_the_loop_of_read(case):
+    step, a, b, n, want_a, want_b = case
+    _same_as_the_loop(
+        _loop_of_zip,
+        lambda s, led, *args: led.read_zip(s, *args),
+        step,
+        a,
+        b,
+        n,
+        want_a,
+        want_b,
+    )
 
 
 def test_read_run_outside_a_step_is_a_usage_error():
     state = BitState.zeros(3)
     ledger = ProbeLedger()
-    with pytest.raises(UsageError, match="no open step"):
-        ledger.read_run(state, 0, 2)
+    for scan in (
+        lambda: ledger.read_run(state, 0, 2),
+        lambda: ledger.read_pairs(state, 0, 1, 1),
+        lambda: ledger.read_zip(state, 0, 1, 1, 0, 0),
+    ):
+        with pytest.raises(UsageError, match="no open step"):
+            scan()
     assert ledger.read_set == set()
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,3 +154,59 @@ def test_increment_and_decrement_are_mutual_inverses(dim, data):
     assert apply_op(forward, rpgc_decrement)[0] == bits
     backward = apply_op(bits, rpgc_decrement)[0]
     assert apply_op(backward, rpgc_increment)[0] == bits
+
+
+class CountingLedger(ProbeLedger):
+    """A ledger that counts the calls a step makes on it."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def read(self, *args):
+        self.calls += 1
+        return super().read(*args)
+
+    def read_run(self, *args):
+        self.calls += 1
+        return super().read_run(*args)
+
+    def read_pairs(self, *args):
+        self.calls += 1
+        return super().read_pairs(*args)
+
+    def read_zip(self, *args):
+        self.calls += 1
+        return super().read_zip(*args)
+
+    def write(self, *args):
+        self.calls += 1
+        return super().write(*args)
+
+
+def _large_d_starts(d):
+    # all zeros; one bit set at positions around every power of two and on
+    # a stride across the string; random states
+    rng = random.Random(16)
+    singles = {d - 1} | set(range(0, d, 257))
+    singles |= {p for k in range(d.bit_length()) for p in ((1 << k) - 1, 1 << k, (1 << k) + 1)}
+    singles = [1 << p for p in sorted(singles) if p < d]
+    return [0] + singles + [rng.getrandbits(d) for _ in range(32)]
+
+
+@pytest.mark.parametrize("step", [rpgc_increment, rpgc_decrement])
+def test_a_step_at_large_d_makes_logarithmically_many_ledger_calls(step):
+    # a step scans each comparison in one call, so at d = 2^16 it makes at
+    # most 20 log2 d = 320 calls, not one call per bit read (above 10^5)
+    d = 1 << 16
+    worst = 0
+    for value in _large_d_starts(d):
+        state = BitState.from_int(value, d)
+        ledger = CountingLedger()
+        ledger.open_step()
+        step(state, ledger)
+        ledger.close_step()
+        worst = max(worst, ledger.calls)
+    assert 0 < worst <= 20 * 16
