@@ -190,11 +190,12 @@ def _outcome(call, state, ledger, *args):
 
 
 def _same_as_the_loop(loop, scan, case, *args):
-    """Run ``loop`` and ``scan`` on equal states, each in a step that has
-    already made the case's reads and writes, and compare the outcomes."""
+    """Run ``loop`` and the ledger method named ``scan`` on equal states,
+    each in a step that has already made the case's reads and writes, and
+    compare the outcomes."""
     dim, bits, reads, writes = case
     outcomes = []
-    for call in (loop, scan):
+    for call in (loop, lambda s, led, *args: getattr(led, scan)(s, *args)):
         state = BitState(dim, bits)
         ledger = ProbeLedger()
         ledger.open_step()
@@ -229,9 +230,7 @@ def _run_cases(draw):
 @given(_run_cases())
 def test_read_run_charges_like_the_loop_of_read(case):
     step, off, width, stop = case
-    _same_as_the_loop(
-        _loop_of_read, lambda s, led, *args: led.read_run(s, *args), step, off, width, stop
-    )
+    _same_as_the_loop(_loop_of_read, "read_run", step, off, width, stop)
 
 
 def _bits_at(bits, off, n):
@@ -268,25 +267,14 @@ def _pair_cases(draw):
 @given(_pair_cases())
 def test_read_pairs_charges_like_the_loop_of_read(case):
     step, a, b, n, _, _ = case
-    _same_as_the_loop(
-        _loop_of_pairs, lambda s, led, *args: led.read_pairs(s, *args), step, a, b, n
-    )
+    _same_as_the_loop(_loop_of_pairs, "read_pairs", step, a, b, n)
 
 
 @settings(max_examples=1000)
 @given(_pair_cases())
 def test_read_zip_charges_like_the_loop_of_read(case):
     step, a, b, n, want_a, want_b = case
-    _same_as_the_loop(
-        _loop_of_zip,
-        lambda s, led, *args: led.read_zip(s, *args),
-        step,
-        a,
-        b,
-        n,
-        want_a,
-        want_b,
-    )
+    _same_as_the_loop(_loop_of_zip, "read_zip", step, a, b, n, want_a, want_b)
 
 
 def test_read_run_outside_a_step_is_a_usage_error():
