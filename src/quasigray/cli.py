@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    sub.add_parser("list", help="print available counters and their parameters")
+    listing = sub.add_parser("list", help="print available counters and their parameters")
+    listing.set_defaults(run=_cmd_list)
 
     kinds = sorted(GRAY_STEPS)
 
@@ -76,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, help="enumeration step cap")
 
     cycle = sub.add_parser("cycle", help="enumerate one counter and emit its report")
+    cycle.set_defaults(run=_cmd_cycle)
     add_selector(cycle)
     cycle.add_argument("--emit", choices=["none", "csv", "json"], default="none")
     cycle.add_argument("--output", help="write the report here instead of stdout")
@@ -83,9 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="check the quasi-Gray property and the documented bounds"
     )
+    verify.set_defaults(run=_cmd_verify)
     add_selector(verify)
 
     bench = sub.add_parser("bench", help="sweep a parameter grid, one row per config")
+    bench.set_defaults(run=_cmd_bench)
     bench.add_argument("--counter", required=True, choices=sorted(COUNTERS))
     bench.add_argument("--dims", help="dims to sweep, e.g. 2-10 or 2,4,8")
     bench.add_argument("--ns", help="n values to sweep, e.g. 2,4,8,16")
@@ -100,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     table1 = sub.add_parser(
         "table1", help="measured metrics next to the documented bounds, small dims"
     )
+    table1.set_defaults(run=_cmd_table1)
     table1.add_argument("--cap", type=int)
     table1.add_argument("--emit", choices=["csv", "json"], default="csv")
     table1.add_argument("--output")
@@ -148,7 +153,7 @@ def _write_rows(
     _write_out(pieces, args.output)
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     for name in sorted(COUNTERS):
         print(f"{name:<12} {COUNTERS[name][0]}")
     return 0
@@ -241,20 +246,10 @@ def run_cli(argv: Sequence[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if args.verb == "list":
-            return _cmd_list()
-        if args.verb == "cycle":
-            return _cmd_cycle(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "bench":
-            return _cmd_bench(args)
-        if args.verb == "table1":
-            return _cmd_table1(args)
+        return args.run(args)
     except (UsageError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled verb {args.verb!r}")
 
 
 def main() -> None:

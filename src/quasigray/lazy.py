@@ -13,9 +13,11 @@ their layout:
   RPGC on request), which caps the writes per step at 3.
 
 Each field encoding supplies three facts: its maximal state, its rank and
-its forward step. The one other difference is the step that sets a payload
-bit: it resets a binary i to 0 and leaves a Gray i where it is, which is
-why doublespin's cycle length ends in 2^(n+1) - 2 and wine's in 2^n + n - 1.
+its forward step. A step tests k against its maximal state in one
+``read_run`` that wants the maximum's bits. The one other difference is
+the step that sets a payload bit: it resets a binary i to 0 and leaves a
+Gray i where it is, which is why doublespin's cycle length ends in
+2^(n+1) - 2 and wine's in 2^n + n - 1.
 
 Enumerated cycle lengths are the ground truth for these counters; the
 claimed closed forms are stored as disputed bounds and reported as deltas.
@@ -136,11 +138,10 @@ def lazy_step(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> None:
     i_off, width, k_off, g = layout.i_offset, layout.width, layout.k_offset, layout.g
     top = _max_state(kind, g)
     # k is read from bit 0 up to the first bit that differs from its maximum
-    for j in range(g):
-        if ledger.read(state, k_off + j) != (top >> j) & 1:
-            if _forward(kind, state, ledger, i_off, width):
-                _forward(kind, state, ledger, k_off, g, False)
-            return
+    if ledger.read_run(state, k_off, g, top) != top:
+        if _forward(kind, state, ledger, i_off, width):
+            _forward(kind, state, ledger, k_off, g, False)
+        return
     pos = _rank(kind, state, ledger, i_off, width)
     if ledger.read(state, pos):
         ledger.write(state, pos, 0)

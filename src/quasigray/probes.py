@@ -8,16 +8,16 @@ costs nothing to consult again, and leaf rules may write bits blindly without
 reading them first.
 
 The ledger keeps a step's charges as two int masks, one bit per position,
-and counts them with ``bit_count``. Besides single reads, it scans a run of
-positions (``read_run``), two runs pair by pair (``read_pairs``) and two
-runs zipped against wanted bits (``read_zip``), each in one call, with the
-charges, values and errors of the loop of single reads it stands for.
+which are its only record of them, and counts them with ``bit_count``.
+Besides single reads, it scans a run of positions (``read_run``), two runs
+pair by pair (``read_pairs``) and two runs zipped (``read_zip``), each in
+one call, under the one contract :class:`ProbeLedger` states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 
 class UsageError(ValueError):
@@ -106,15 +106,16 @@ class ProbeLedger:
     A step's charges are two masks. Bit ``pos`` of ``rmask`` is set when
     position ``pos`` was read while it was neither read nor written earlier
     in the step; bit ``pos`` of ``wmask`` when it was written, so rewriting
-    a position costs one write. ``read_set`` and ``write_set`` are
-    read-only set views of them. ``close_step`` folds the step into the
+    a position costs one write. ``close_step`` folds the step into the
     running totals and maxima.
 
     Besides single reads and writes, three scans each charge, return and
     raise exactly what their loop of :meth:`read` would, in one call:
     :meth:`read_run` reads a run of positions, :meth:`read_pairs` compares
     two runs pair by pair, and :meth:`read_zip` tests two runs, zipped, for
-    wanted bits. Each checks only the positions it actually reads.
+    wanted bits. Each reads in a fixed order and ends right after the first
+    bit that is not as wanted. A scan that reads nothing, finds no open
+    step or leaves the state runs its loop of :meth:`read` itself.
     """
 
     __slots__ = (
@@ -138,16 +139,6 @@ class ProbeLedger:
         self.max_writes = 0
         self._open = False
 
-    @property
-    def read_set(self) -> FrozenSet[int]:
-        """Positions charged as reads in the open step."""
-        return frozenset(_positions(self.rmask))
-
-    @property
-    def write_set(self) -> FrozenSet[int]:
-        """Positions written in the open step."""
-        return frozenset(_positions(self.wmask))
-
     def open_step(self) -> None:
         if self._open:
             raise UsageError("a step is already open")
@@ -164,42 +155,37 @@ class ProbeLedger:
             self.rmask |= bit
         return (state.value >> pos) & 1
 
-    def read_run(self, state: BitState, off: int, width: int, stop: int = -1) -> int:
+    def read_run(self, state: BitState, off: int, width: int, want: Optional[int] = None) -> int:
         """Tracked reads of bits ``off, off+1, ...``: all ``width`` of them,
-        or up to and including the first bit equal to ``stop`` (0 or 1).
+        or, given ``want``, up to and including the first bit that differs
+        from its wanted bit, bit ``j`` of ``want`` for position ``off+j``.
 
-        Returns the bits read as an int with bit ``off`` lowest, so a run
-        that stops returns its stop bit as the highest one read.
+        Returns the bits read as an int with bit ``off`` lowest.
         """
-        if width <= 0:
-            return 0
-        if not self._open:
-            raise UsageError("no open step")
-        dim = state.dim
-        if off < 0 or off >= dim:
-            raise UsageError(f"read position {off} out of range for dim {dim}")
-        n = dim - off
-        if width < n:
-            n = width
-        mask = (1 << n) - 1
+        if width <= 0 or not self._open or off < 0 or off + width > state.dim:
+            # a scan that raises, or reads nothing, is its loop
+            run = 0
+            for j in range(width):
+                bit = self.read(state, off + j)
+                run |= bit << j
+                if want is not None and bit != (want >> j) & 1:
+                    break
+            return run
+        mask = (1 << width) - 1
         run = (state.value >> off) & mask
-        if stop >= 0:
-            hits = run if stop else run ^ mask
-            if hits:
-                # the lowest hit is the stop bit: the run ends there
-                n = (hits & -hits).bit_length()
-                mask = (1 << n) - 1
+        if want is not None:
+            miss = (run ^ want) & mask
+            if miss:
+                # the run ends right after its lowest miss
+                mask = ((miss & -miss) << 1) - 1
                 run &= mask
-                width = n
         self.rmask |= (mask << off) & ~self.wmask
-        if width > n:
-            raise UsageError(f"read position {dim} out of range for dim {dim}")
         return run
 
     def read_pairs(self, state: BitState, a: int, b: int, n: int) -> int:
-        """Tracked reads of ``a, b, a+1, b+1, ...`` that stop after the
-        first pair of unequal bits; returns that pair's index, or ``n``
-        when all ``n`` pairs are equal."""
+        """Tracked reads of ``a, b, a+1, b+1, ...`` that end right after
+        the first ``b`` bit unequal to its ``a`` bit; returns that pair's
+        index, or ``n`` when all ``n`` pairs are equal."""
         dim = state.dim
         if n <= 0 or not self._open or a < 0 or b < 0 or a + n > dim or b + n > dim:
             # a scan that raises, or reads nothing, is its loop
@@ -211,7 +197,7 @@ class ProbeLedger:
         mask = (1 << n) - 1
         diff = ((value >> a) ^ (value >> b)) & mask
         if diff:
-            # the scan stops after the lowest unequal pair
+            # the scan ends after the lowest unequal pair
             low = diff & -diff
             mask = (low << 1) - 1
             n = low.bit_length() - 1
@@ -219,7 +205,7 @@ class ProbeLedger:
         return n
 
     def read_zip(self, state: BitState, a: int, b: int, n: int, want_a: int, want_b: int) -> bool:
-        """Tracked reads of ``a, b, a+1, b+1, ...`` that stop right after
+        """Tracked reads of ``a, b, a+1, b+1, ...`` that end right after
         the first bit that differs from its wanted bit: bit ``i`` of
         ``want_a`` for position ``a+i``, of ``want_b`` for ``b+i``. True
         when all ``2n`` bits are as wanted."""
@@ -282,26 +268,20 @@ class ProbeLedger:
         return r, w
 
 
-def _positions(mask: int) -> List[int]:
-    """The positions of the set bits of ``mask``, in increasing order."""
-    text = bin(mask)[:1:-1]
-    return [pos for pos, bit in enumerate(text) if bit == "1"]
-
-
 # Tracked operations on a field of ``width`` bits starting at ``off``; each
 # reads from bit ``off`` upward, and the counters rely on that order.
 
 
 def field_is_zero(state: BitState, ledger: ProbeLedger, off: int, width: int) -> bool:
-    """All-zeros test that stops at the first 1."""
-    return not ledger.read_run(state, off, width, 1)
+    """All-zeros test that ends at the first 1."""
+    return not ledger.read_run(state, off, width, 0)
 
 
 def increment_field(state: BitState, ledger: ProbeLedger, off: int, width: int) -> bool:
     """Binary increment with carry: flip 1s upward until a 0 is flipped to
     1. Reads = writes = chain length. Returns True when the field wraps to
     all zeros."""
-    ones = ledger.read_run(state, off, width, 0)
+    ones = ledger.read_run(state, off, width, -1)
     # the chain is the 1s below the first 0 and that 0, or all width 1s
     chain = (ones + 1).bit_length()
     for j in range(min(chain, width)):

@@ -14,7 +14,7 @@ minimum, and tests whether A is the successor of B instead of equal to it.
 Read orders are part of the contract, because the average-read behaviour
 depends on them:
 
-* equality comparisons read pairs (A[0],B[0]), (A[1],B[1]), ... and stop
+* equality comparisons read pairs (A[0],B[0]), (A[1],B[1]), ... and end
   at the first differing pair;
 * the maximum-state test alternates across W's halves (a0, b0, a1, b1,
   ...), the same prefix the follow-up equality comparison consults;
@@ -23,10 +23,11 @@ depends on them:
   the successor comparison used by the decrement.
 
 Each of these scans is one ledger call with the charges of its loop of
-single reads: ``read_pairs`` for an equality comparison, ``read_zip`` for
-the maximum-state test and the quarter zigzag, and a zero test
-(``read_run`` stopping at the first 1) for each half of W's first half. A
-step therefore makes O(log d) ledger calls, however many bits it reads.
+single reads, ending right after the first bit that is not as wanted:
+``read_pairs`` for an equality comparison, ``read_zip`` for the
+maximum-state test and the quarter zigzag, and a zero test (``read_run``
+wanting zeros) for each half of W's first half. A step therefore makes
+O(log d) ledger calls, however many bits it reads.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from quasigray.composite import (
     build_layered,
     composite_step,
 )
+from quasigray.lazy import _max_state
 from quasigray.logmath import log_star
 
 
@@ -158,3 +159,36 @@ def test_logstar_plan_full_chain():
     assert dims[-3:] == [3 + (1 << 16), 7, 5]
     assert sum(dims) == d
     assert len(plan.layers) <= plan.claimed_writes == 5
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        16 + _T17,
+        pytest.param(
+            26 + _T17,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="logstar_plan's claimed_writes (5) is below its 6 layers "
+                "from d = 2^17 + 26 on; recorded as a FOUND in CHANGES.md",
+            ),
+        ),
+    ],
+    ids=["2^17+16", "2^17+26"],
+)
+def test_logstar_plan_claims_the_writes_of_its_wrap_step(d):
+    # with every layer at its maximal state, one step wraps the whole
+    # string to zeros and writes one bit per layer
+    plan = logstar_plan(d)
+    value = 0
+    for lay, off in zip(plan.layers, plan.offsets):
+        value |= _max_state(lay.kind, lay.dim) << off
+    state = BitState.from_int(value, plan.total_dim)
+    ledger = ProbeLedger()
+    ledger.open_step()
+    make_composite_counter(plan).advance(state, ledger)
+    _, writes = ledger.close_step()
+    assert state.value == 0
+    assert writes == len(plan.layers)
+    assert writes <= plan.claimed_writes

@@ -3,12 +3,15 @@ import io
 import json
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasigray import (
     BitState,
@@ -342,11 +345,13 @@ def _start_states(name, counter):
 
 def reference_cycle(counter, cap):
     """open_step -> advance -> close_step with every step interpreted, and
-    the state compared and stored after each step."""
+    Brent's rule applied after each step as ``enumerate_cycle`` applies it:
+    the state is compared with the start state, then with the one saved at
+    the last power-of-two step."""
     state = counter.fresh_state()
     ledger = ProbeLedger()
-    start = prev = state.value
-    seen = {start}
+    start = prev = saved = state.value
+    next_save = 1
     reads, writes, hamming = [], [], []
     closed, distinct = False, True
     while len(reads) < cap:
@@ -360,20 +365,29 @@ def reference_cycle(counter, cap):
         if cur == start:
             closed = True
             break
-        if cur in seen:
+        if cur == saved:
             distinct = False
             break
-        seen.add(cur)
+        if len(reads) == next_save:
+            saved = cur
+            next_save <<= 1
         prev = cur
+    length = len(reads)
     return dict(
-        length=len(reads),
+        counter=counter.name,
+        dim=counter.dim,
+        params=dict(counter.params),
+        length=length,
         closed=closed,
         distinct=distinct,
-        total_reads=ledger.total_reads,
-        total_writes=ledger.total_writes,
+        space_efficiency=Fraction(length, 1 << counter.dim),
+        avg_reads=Fraction(ledger.total_reads, length),
         worst_reads=ledger.max_reads,
+        avg_writes=Fraction(ledger.total_writes, length),
         worst_writes=ledger.max_writes,
         max_hamming=max(hamming),
+        total_reads=ledger.total_reads,
+        total_writes=ledger.total_writes,
         last_state=BitState.from_int(prev, counter.dim).to_text() if closed else None,
         step_reads=reads,
         step_writes=writes,
@@ -381,24 +395,14 @@ def reference_cycle(counter, cap):
     )
 
 
-_SCALARS = (
-    "length",
-    "closed",
-    "distinct",
-    "total_reads",
-    "total_writes",
-    "worst_reads",
-    "worst_writes",
-    "max_hamming",
-    "last_state",
-)
-
-
 def _observed(report):
-    fields = {key: getattr(report, key) for key in _SCALARS}
+    """Every compared field of the report but ``interpreted_steps``, and
+    its per-step arrays as lists."""
+    observed = {f.name: getattr(report, f.name) for f in fields(report) if f.compare}
+    del observed["interpreted_steps"]
     for key in ("step_reads", "step_writes", "step_hamming"):
-        fields[key] = getattr(report, key).tolist()
-    return fields
+        observed[key] = getattr(report, key).tolist()
+    return observed
 
 
 @pytest.mark.parametrize("config", SWEEP_GRID, ids=_grid_id)
@@ -408,8 +412,6 @@ def test_tree_walk_matches_interpreted_steps(config):
         full = reference_cycle(counter, 1 << 26)
         report = enumerate_cycle(counter)
         assert _observed(report) == full
-        assert report.avg_reads == Fraction(full["total_reads"], full["length"])
-        assert report.avg_writes == Fraction(full["total_writes"], full["length"])
         assert report.interpreted_steps <= report.length
         if name == "brgc":
             # every brgc step reads all dim bits, so no path is grafted
@@ -424,6 +426,79 @@ def test_tree_interprets_few_steps_where_paths_repeat(cycle_report):
     assert lazy.interpreted_steps <= 64
     rpgc = enumerate_cycle(make_counter("rpgc", dim=13))
     assert rpgc.interpreted_steps < rpgc.length // 3
+
+
+def _dat_step(node, state, ledger):
+    """One step of a random decision assignment tree (see ``_dat_trees``)."""
+    while node is not None:
+        if node[0] == "leaf":
+            _, writes, node = node
+            for pos, op in writes:
+                ledger.write(state, pos, ledger.read(state, pos) ^ 1 if op == "t" else op)
+            continue
+        test, low, high = node
+        if test[0] == "read":
+            hit = ledger.read(state, test[1])
+        else:
+            _, off, width, want = test
+            run = ledger.read_run(state, off, width, want)
+            hit = run.bit_count() & 1 if want is None else run == want & ((1 << width) - 1)
+        node = high if hit else low
+
+
+def _dat_node(rng, dim, budget, depth):
+    """A random subtree at most ``depth`` tests deep, whose inner nodes
+    are taken from the count left in ``budget[0]``."""
+    if depth and budget[0] and rng.random() < 0.75:
+        budget[0] -= 1
+        if rng.random() < 0.5:
+            test = ("read", rng.randrange(dim))
+        else:
+            off = rng.randrange(dim)
+            width = rng.randint(1, dim - off)
+            want = rng.choice([None, 0, -1, rng.getrandbits(width)])
+            test = ("run", off, width, want)
+        low = _dat_node(rng, dim, budget, depth - 1)
+        return test, low, _dat_node(rng, dim, budget, depth - 1)
+    # toggles, which read the bit they flip, outnumber constants, so that
+    # fewer steps collapse states and more runs are long enough to walk
+    # the tree
+    count = rng.choice([0, 1, 1, 2, 2, 3, 3])
+    writes = [(rng.randrange(dim), rng.choice([0, 1, "t", "t", "t"])) for _ in range(count)]
+    then = None
+    if depth and budget[0] and rng.random() < 0.25:
+        # reads after the writes, which may test the bits just written
+        then = _dat_node(rng, dim, budget, depth - 1)
+    return "leaf", writes, then
+
+
+@st.composite
+def _dat_trees(draw):
+    """A counter run by a random decision assignment tree, a start state
+    and a cap.
+
+    An inner node tests one bit, or scans a run with ``read_run`` and
+    branches on whether all its bits were as wanted (on its parity when
+    nothing is wanted). A leaf writes 0-3 bits, each a constant or a
+    toggle, and may go on to a subtree of reads after its writes. Paths
+    are at most dim + 1 tests deep. The tree comes from a drawn seed, which
+    keeps each case to a few draws."""
+    dim = draw(st.integers(min_value=2, max_value=9))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=(1 << 32) - 1)))
+    tree = _dat_node(rng, dim, [rng.randint(0, 3 * dim)], dim + 1)
+    start = draw(st.integers(min_value=0, max_value=(1 << dim) - 1))
+    cap = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4 << dim)))
+    initial = BitState.from_int(start, dim)
+    return CounterSpec("dat", dim, {"dim": dim}, initial, partial(_dat_step, tree)), cap
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_dat_trees())
+def test_tree_walk_matches_interpreted_steps_on_random_trees(case):
+    counter, cap = case
+    report = enumerate_cycle(counter, cap)
+    assert _observed(report) == reference_cycle(counter, cap or DEFAULT_CYCLE_CAP)
+    assert 0 < report.interpreted_steps <= report.length
 
 
 def _flag_step(state, ledger):
@@ -545,14 +620,14 @@ def test_per_step_arrays_stay_out_of_equality_and_repr():
 
 
 def _charged_step(counter, value):
-    """Run one step from ``value``: its charged reads with the values read,
-    and its writes with the values left in place."""
+    """Run one step from ``value``: its read mask with the values read, and
+    its write mask with the values left in place."""
     state = BitState.from_int(value, counter.dim)
     ledger = ProbeLedger()
     ledger.open_step()
     counter.advance(state, ledger)
-    reads = {p: (value >> p) & 1 for p in ledger.read_set}
-    writes = {p: state.bits[p] for p in ledger.write_set}
+    reads = (ledger.rmask, value & ledger.rmask)
+    writes = (ledger.wmask, state.value & ledger.wmask)
     ledger.close_step()
     return reads, writes, state.value
 
@@ -570,7 +645,7 @@ def test_steps_see_only_the_bits_they_charge(config):
         reads, writes, after = _charged_step(counter, value)
         if step % stride == 0:
             for p in range(counter.dim):
-                if p not in reads:
+                if not reads[0] >> p & 1:
                     flipped = _charged_step(counter, value ^ (1 << p))
                     assert flipped[:2] == (reads, writes), (step, p)
         value = after

@@ -248,3 +248,59 @@ def test_every_step_writes_at_least_one_bit(cycle_report):
 def test_spin_average_reads_at_most_four(cycle_report, n):
     report = cycle_report("spin", n=n)
     assert report.avg_reads <= 4
+
+
+class ReadCountingLedger(ProbeLedger):
+    """A ledger that counts the read-side calls a step makes on it; writes
+    are not counted, since a binary carry writes bit by bit."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def read(self, *args):
+        self.calls += 1
+        return super().read(*args)
+
+    def read_run(self, *args):
+        self.calls += 1
+        return super().read_run(*args)
+
+    def read_pairs(self, *args):
+        self.calls += 1
+        return super().read_pairs(*args)
+
+    def read_zip(self, *args):
+        self.calls += 1
+        return super().read_zip(*args)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (make_doublespin_counter, (2, 20)),
+        (make_wine_counter, (2, 20, "brgc")),
+        (make_wine_counter, (2, 20, "rpgc")),
+    ],
+    ids=["doublespin", "wine-brgc", "wine-rpgc"],
+)
+def test_a_step_scans_the_phase_field_in_one_call(make, args):
+    # from k at its maximum, and from k at its maximum with any one bit
+    # flipped, a step reads k in one call, not one call per bit. The
+    # pointer starts at 0, so a spin step does not wrap it, and k's own
+    # Gray step, whose calls grow with log g, is not taken.
+    counter = make(*args)
+    layout = LazyLayout(*args)
+    top = lazy._max_state(layout.encoding, layout.g)
+    worst = 0
+    for k in [top] + [top ^ (1 << j) for j in range(layout.g)]:
+        for b in range(1 << layout.n):
+            state = BitState.from_int(b | k << layout.k_offset, layout.dim)
+            ledger = ReadCountingLedger()
+            ledger.open_step()
+            counter.advance(state, ledger)
+            ledger.close_step()
+            worst = max(worst, ledger.calls)
+    assert 0 < worst <= 12

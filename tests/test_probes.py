@@ -155,12 +155,12 @@ def test_bits_is_a_read_only_view():
     assert s.value == 5
 
 
-def _loop_of_read(state, ledger, off, width, stop):
+def _loop_of_read(state, ledger, off, width, want):
     out = 0
     for j in range(width):
         v = ledger.read(state, off + j)
         out |= v << j
-        if v == stop:
+        if want is not None and v != (want >> j) & 1:
             break
     return out
 
@@ -186,7 +186,7 @@ def _outcome(call, state, ledger, *args):
         result = call(state, ledger, *args)
     except UsageError as exc:
         result = ("UsageError", str(exc))
-    return result, set(ledger.read_set), set(ledger.write_set), state.value
+    return result, ledger.rmask, ledger.wmask, state.value
 
 
 def _same_as_the_loop(loop, scan, case, *args):
@@ -217,25 +217,40 @@ def _step_so_far(draw, dim):
     return dim, bits, reads, writes
 
 
+def _bits_at(bits, off, n):
+    """The in-range bits of positions off .. off+n-1, bit off lowest."""
+    return sum(bits[off + i] << i for i in range(n) if 0 <= off + i < len(bits))
+
+
+def _wanted(draw, bits, off, n):
+    """Wanted bits for positions off .. off+n-1 that often equal the actual
+    ones, or differ from them in a single bit."""
+    dim = len(bits)
+    noise = st.one_of(
+        st.just(0),
+        st.integers(min_value=0, max_value=dim).map(lambda i: 1 << i),
+        st.integers(min_value=0, max_value=(1 << (dim + 2)) - 1),
+    )
+    return _bits_at(bits, off, n) ^ draw(noise)
+
+
 @st.composite
 def _run_cases(draw):
+    """A run of width positions, out of range or negative at times, and no
+    wanted bits, all zeros, all ones, or a pattern near the actual bits."""
     dim = draw(st.integers(min_value=1, max_value=12))
     off = draw(st.integers(min_value=-1, max_value=dim))
     width = draw(st.integers(min_value=0, max_value=dim + 1))
-    stop = draw(st.sampled_from([-1, 0, 1]))
-    return draw(_step_so_far(dim)), off, width, stop
+    step = draw(_step_so_far(dim))
+    want = draw(st.sampled_from([None, 0, -1, _wanted(draw, step[1], off, width)]))
+    return step, off, width, want
 
 
 @settings(max_examples=1000)
 @given(_run_cases())
 def test_read_run_charges_like_the_loop_of_read(case):
-    step, off, width, stop = case
-    _same_as_the_loop(_loop_of_read, "read_run", step, off, width, stop)
-
-
-def _bits_at(bits, off, n):
-    """The in-range bits of positions off .. off+n-1, bit off lowest."""
-    return sum(bits[off + i] << i for i in range(n) if 0 <= off + i < len(bits))
+    step, off, width, want = case
+    _same_as_the_loop(_loop_of_read, "read_run", step, off, width, want)
 
 
 @st.composite
@@ -253,13 +268,8 @@ def _pair_cases(draw):
         for i in range(n):
             if 0 <= a + i < dim and 0 <= b + i < dim:
                 bits[b + i] = bits[a + i]
-    noise = st.one_of(
-        st.just(0),
-        st.integers(min_value=0, max_value=dim).map(lambda i: 1 << i),
-        st.integers(min_value=0, max_value=(1 << (dim + 2)) - 1),
-    )
-    want_a = _bits_at(bits, a, n) ^ draw(noise)
-    want_b = _bits_at(bits, b, n) ^ draw(noise)
+    want_a = _wanted(draw, bits, a, n)
+    want_b = _wanted(draw, bits, b, n)
     return (dim, bits, reads, writes), a, b, n, want_a, want_b
 
 
@@ -287,7 +297,7 @@ def test_read_run_outside_a_step_is_a_usage_error():
     ):
         with pytest.raises(UsageError, match="no open step"):
             scan()
-    assert ledger.read_set == set()
+    assert ledger.rmask == 0
 
 
 # Step code reaches a state's bits only through the ledger. These are the
@@ -322,3 +332,35 @@ def test_counter_modules_see_bits_only_through_the_ledger():
     for module in (brgc, rpgc, lazy, composite):
         found |= _bulk_view_uses(module)
     assert found == BULK_VIEW_ALLOWED
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _reads_in_loops(module):
+    """The functions of ``module`` with a loop (``for``, ``while`` or a
+    comprehension) that calls ``.read(``: a scan bit by bit, where one
+    ledger call would do."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(func):
+            if not isinstance(loop, LOOPS):
+                continue
+            for call in ast.walk(loop):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "read"
+                ):
+                    found.add((module.__name__.rsplit(".", 1)[1], func.name))
+    return found
+
+
+def test_counter_modules_never_read_bit_by_bit_in_a_loop():
+    found = set()
+    for module in (brgc, rpgc, lazy, composite):
+        found |= _reads_in_loops(module)
+    assert found == set()

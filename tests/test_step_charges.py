@@ -31,6 +31,11 @@ DIGESTS = {
 }
 
 
+def _positions(mask):
+    """The positions of a mask's set bits, in the text of a sorted list."""
+    return str([pos for pos in range(mask.bit_length()) if mask >> pos & 1])
+
+
 def charge_digest(step, dims):
     digest = hashlib.sha256()
     for d in dims:
@@ -44,8 +49,8 @@ def charge_digest(step, dims):
             except Exception as exc:  # the error's name is part of the digest
                 error = f" {type(exc).__name__}"
             line = (
-                f"{d} {value} {sorted(ledger.read_set)} "
-                f"{sorted(ledger.write_set)} {state.value}{error}\n"
+                f"{d} {value} {_positions(ledger.rmask)} "
+                f"{_positions(ledger.wmask)} {state.value}{error}\n"
             )
             digest.update(line.encode())
     return digest.hexdigest()
