@@ -14,6 +14,7 @@ from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Optional, Tuple
 
 from .probes import BitState, CounterSpec, ProbeLedger, UsageError, increment_field
@@ -74,6 +75,9 @@ class CycleReport:
     # (counter, start state as an int, cap): what the traced re-run repeats
     _source: tuple = field(compare=False, repr=False)
     _columns: Optional[Tuple[array, array, array]] = field(default=None, compare=False, repr=False)
+    # the steps taken from macro leaves, _K at a time, and the step at which
+    # the run turned macro leaves off for missing too often, 0 if it did not
+    _macro: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
     @property
     def step_reads(self) -> array:
@@ -102,29 +106,27 @@ class CycleReport:
 # to the dimension; below 64 bits, only the dimension bounds a path
 _MAX_PATH = 64
 
+# the steps a macro leaf stands for
+_K = 8
 
-def _graft(
-    tree: array,
-    leaves: list,
-    leaf_ids: dict,
-    visits: list,
-    snap: int,
-    ledger: ProbeLedger,
-    flip: int,
-    longest: int,
-) -> None:
-    """Add the read path of the step the ledger just charged, taken from
-    state ``snap`` and flipping the bits of ``flip``, below the tree node
-    where its walk fell off. A new leaf starts with no visits.
+# entries of one macro leaf in its store
+_LEAF = 5
 
-    The path tests the positions the walk already tested, then the step's
-    remaining charged reads in position order, then the positions it wrote
-    without reading them, in position order. A state that reaches the new
-    leaf therefore agrees with ``snap`` on every bit the step read, so the
-    step does the same to it, and on every bit it wrote, so it flips the
-    same bits: applying the leaf is ``state ^ flip``. A path of ``longest``
-    positions or more is not added: one that tests all ``dim`` bits pins
-    one state, which cannot recur before the cycle closes, and one of
+# a run stops trying macro leaves once its misses outnumber its hits by more
+# than this
+_MISS_MARGIN = 64
+
+
+def _graft(tree: array, snap: int, first: int, then: int, longest: int) -> int:
+    """Add a path for state ``snap`` below the node where its walk falls
+    off ``tree``, and return the slot that is to hold its leaf.
+
+    The path tests the positions the walk already tested, then the other
+    positions of ``first``, then those of ``then``, each in position
+    order; a state that reaches its leaf agrees with ``snap`` on all of
+    them. A path of ``longest`` positions or more, or of none, is not
+    added, and the slot is -1: one that tests all ``dim`` bits pins one
+    state, which cannot recur before the cycle closes, and one of
     ``_MAX_PATH`` or more costs tree work in proportion to its length.
     """
     walked = 0
@@ -137,11 +139,9 @@ def _graft(
         node = tree[slot]
         if not node:
             break
-    rmask, wmask = ledger.rmask, ledger.wmask
-    if not 0 < (walked | rmask | wmask).bit_count() < longest:
-        return
-    leaf = (flip, rmask.bit_count(), wmask.bit_count())
-    for rest in (rmask & ~walked, wmask & ~rmask & ~walked):
+    if not 0 < (walked | first | then).bit_count() < longest:
+        return -1
+    for rest in (first & ~walked, then & ~first & ~walked):
         while rest:
             low = rest & -rest
             rest ^= low
@@ -151,11 +151,42 @@ def _graft(
                 tree[slot] = node
             tree.extend((pos, 0, 0))
             slot = node + 1 + ((snap >> pos) & 1)
-    i = leaf_ids.setdefault(leaf, len(leaves))
-    if i == len(leaves):
-        leaves.append(leaf)
-        visits.append(0)
-    tree[slot] = ~i
+    return slot
+
+
+def _block(
+    tree: array, leaves: list, snap: int, longest: int
+) -> Optional[Tuple[int, int, int, int, int]]:
+    """The ``_K`` steps from state ``snap`` as the single-step tree, which
+    is not empty, takes them, each down to a leaf: the positions their
+    walks tested, the bits they flip in all, ~ the bits any of them flips,
+    and their summed reads and writes. None if a step falls off the tree
+    or the walks test ``longest`` positions or more.
+
+    Every leaf flips a fixed set of bits, and the states after each step
+    of the block differ from those of ``snap`` by fixed masks. A state that
+    agrees with ``snap`` on the tested positions therefore walks each step
+    down the same path to the same leaf."""
+    path = touched = reads = writes = 0
+    start = snap
+    for _ in range(_K):
+        node = 0
+        while True:
+            pos = tree[node]
+            path |= 1 << pos
+            node = tree[node + 1 + ((snap >> pos) & 1)]
+            if node <= 0:
+                break
+        if not node:
+            return None
+        if path.bit_count() >= longest:
+            return None
+        flip, r, w = leaves[~node]
+        touched |= flip
+        reads += r
+        writes += w
+        snap ^= flip
+    return path, snap ^ start, ~touched, reads, writes
 
 
 def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleReport:
@@ -183,6 +214,22 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     O(tree size), whatever the cycle length; the per-step arrays of the
     report are built only when first read. The tree lives only as long as
     this call.
+
+    A second tree, of the same layout, takes ``_K`` steps at a time. Its
+    walk starts at step counts that are multiples of ``_K``. Its leaf is
+    the block of ``_K`` steps from the state that grafted it, each of which
+    walked the single-step tree to a leaf: the path tests every position
+    those walks tested, and the leaf holds the bits the block flips, the
+    bits any of its steps flips, and its summed reads and writes. A state
+    that agrees with it on the path walks each step down the same path, so
+    the block does the same to it. A state inside the block differs from
+    the block's first state only in bits some step flips, so the block is
+    taken whole only if the start state and the state Brent's rule saved
+    each differ from its first state in some other bit, and only if it
+    ends by the cap and by the next save. Otherwise its steps run singly,
+    and every reported field is what single steps give. Macro leaves are
+    tried once the single-step tree holds a leaf, and not after their
+    misses outnumber their hits by more than ``_MISS_MARGIN``.
     """
     if cap is None:
         cap = DEFAULT_CYCLE_CAP
@@ -191,10 +238,24 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     return _run(counter, counter.fresh_state(), cap, False)
 
 
+def _block_totals(mleaves) -> Tuple[int, int]:
+    """The reads and writes of the steps taken from the macro leaves in
+    ``mleaves``, whose entries are ``_LEAF`` to a leaf."""
+    visits = mleaves[4::_LEAF]
+    return sum(map(mul, mleaves[2::_LEAF], visits)), sum(map(mul, mleaves[3::_LEAF], visits))
+
+
 def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleReport:
     """The loop of ``enumerate_cycle`` from ``state``; ``trace`` also
     appends every step's reads, writes and Hamming distance to the
-    report's per-step arrays."""
+    report's per-step arrays, and takes every step singly.
+
+    Brent's saves and block starts are both events at a step count,
+    ``next_stop``, so a step that reaches neither pays one comparison, as
+    it does once macro leaves are off. At a block start, a block recorded
+    from the previous one is grafted, and then blocks are taken from macro
+    leaves while they can be; a miss leaves the next ``_K`` steps to
+    single steps, which record that block."""
     dim = counter.dim
     ledger = ProbeLedger()
     advance = counter.advance
@@ -207,6 +268,8 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
 
     saved = snap0
     next_save = 1
+    # the next step count at which a state is saved or a block may start
+    next_stop = 1
 
     columns = None
     if trace:
@@ -224,6 +287,20 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
     leaves: list = []
     leaf_ids: Dict[tuple, int] = {}
     visits: list = []
+
+    # the macro tree, whose leaves stand for _K steps from a block start;
+    # its leaf ~off holds entries off to off + 4 of mleaves: the bits the
+    # block flips, ~ the bits any of its steps flips, its reads, its writes
+    # and the leaf's visits. Below 64 bits they fit in signed 64-bit ints.
+    blocks = not trace
+    mtree = array("i")
+    mleaves = array("q") if dim < 64 else []
+    hits = misses = macro_stop = 0
+    block_reads = block_writes = 0
+    # the state at which a block missing from mtree began, and the steps
+    # the ledger had interpreted then
+    recording = None
+    recorded_at = 0
 
     child = 0  # only a walk assigns it, so it stays 0 while the tree is empty
     while steps < cap:
@@ -245,7 +322,15 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
             advance(state, ledger)
             snap = state.value
             if ledger.rmask.bit_count() < longest:
-                _graft(tree, leaves, leaf_ids, visits, prev, ledger, prev ^ snap, longest)
+                rmask, wmask = ledger.rmask, ledger.wmask
+                slot = _graft(tree, prev, rmask, wmask, longest)
+                if slot >= 0:
+                    leaf = (prev ^ snap, rmask.bit_count(), wmask.bit_count())
+                    i = leaf_ids.setdefault(leaf, len(leaves))
+                    if i == len(leaves):
+                        leaves.append(leaf)
+                        visits.append(0)
+                    tree[slot] = ~i
             r, w = close_step()
             # a leaf changes as many bits as the step that grafted it, so
             # the interpreted steps hold the maximum
@@ -263,13 +348,65 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
         if snap == saved:
             distinct = False
             break
-        if steps == next_save:
-            saved = snap
-            next_save <<= 1
+        if steps == next_stop:
+            if steps == next_save:
+                saved = snap
+                next_save <<= 1
+            if blocks and tree and not steps % _K:
+                if recording is not None:
+                    # a block that interpreted a step is left to a later
+                    # miss, which its grafts may turn into tree hits
+                    slot = -1
+                    if ledger.steps == recorded_at:
+                        block = _block(tree, leaves, recording, longest)
+                        if block is not None:
+                            slot = _graft(mtree, recording, block[0], 0, longest)
+                    if slot >= 0:
+                        mtree[slot] = ~len(mleaves)
+                        mleaves.extend(block[1:])
+                        mleaves.append(0)
+                    recording = None
+                    misses += 1
+                    if misses - hits > _MISS_MARGIN:
+                        blocks = False
+                        macro_stop = steps
+                        block_reads, block_writes = _block_totals(mleaves)
+                        mtree = mleaves = None
+                # a block is taken whole only where it crosses no save and
+                # no state in it can equal the start or the saved state
+                while blocks and steps + _K <= cap and steps + _K <= next_save:
+                    leaf = 0
+                    if mtree:
+                        node = 0
+                        while True:
+                            leaf = mtree[node + 1 + ((snap >> mtree[node]) & 1)]
+                            if leaf <= 0:
+                                break
+                            node = leaf
+                    if not leaf:
+                        recording = snap
+                        recorded_at = ledger.steps
+                        break
+                    off = ~leaf
+                    untouched = mleaves[off + 1]
+                    if not (snap ^ snap0) & untouched or not (snap ^ saved) & untouched:
+                        break
+                    snap ^= mleaves[off]
+                    mleaves[off + 4] += 1
+                    hits += 1
+                    steps += _K
+                    if steps == next_save:
+                        saved = snap
+                        next_save <<= 1
+            next_stop = next_save
+            if blocks and tree:
+                next_stop = min(next_save, (steps | (_K - 1)) + 1)
         prev = snap
 
-    total_reads = ledger.total_reads
-    total_writes = ledger.total_writes
+    if blocks:
+        block_reads, block_writes = _block_totals(mleaves)
+    total_reads = ledger.total_reads + block_reads
+    total_writes = ledger.total_writes + block_writes
     for (_, r, w), n in zip(leaves, visits):
         total_reads += n * r
         total_writes += n * w
@@ -294,6 +431,7 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
         interpreted_steps=ledger.steps,
         _source=(counter, snap0, cap),
         _columns=columns,
+        _macro=(_K * hits, macro_stop),
     )
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -26,6 +27,7 @@ from quasigray import (
     verify_quasi_gray,
 )
 from quasigray.harness import (
+    _K,
     DECIMAL_DIGITS,
     DEFAULT_CYCLE_CAP,
     cycle_cap_from_env,
@@ -34,6 +36,7 @@ from quasigray.harness import (
     make_binary_counter,
     standard_binary_step,
 )
+from quasigray.probes import increment_field
 from quasigray.reports import CSV_COLUMNS, csv_text, json_chunks, json_text
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -428,6 +431,74 @@ def test_tree_interprets_few_steps_where_paths_repeat(cycle_report):
     assert rpgc.interpreted_steps < rpgc.length // 3
 
 
+@pytest.mark.parametrize(
+    "name, kw, rank",
+    # lazy n=8 closes at step 510, inside its 64th block
+    [("lazy", dict(n=8), None), ("binary", dict(dim=10), random.Random(10).randrange(1 << 10))],
+    ids=["lazy-n=8", "binary-dim=10"],
+)
+def test_caps_next_to_block_boundaries_match_single_steps(name, kw, rank):
+    counter = make_counter(name, **kw)
+    if rank is not None:
+        counter = replace(counter, initial=BitState.from_int(rank, counter.dim))
+    full = enumerate_cycle(counter)
+    assert full._macro[0] > 0
+    last = full.length // _K
+    for m in (1, 2, 3, 11, 20, 37, 50, last - 1, last, last + 1):
+        for cap in (_K * m - 1, _K * m, _K * m + 1):
+            assert _observed(enumerate_cycle(counter, cap)) == reference_cycle(counter, cap), cap
+
+
+def test_brgc_bypasses_macro_leaves():
+    # every brgc step reads all dim bits, so the single-step tree stays
+    # empty and no block is ever tried
+    counter = make_counter("brgc", dim=12)
+    report = enumerate_cycle(counter)
+    assert report._macro == (0, 0)
+    assert report.interpreted_steps == report.length
+    assert _observed(report) == reference_cycle(counter, 1 << 26)
+
+
+@pytest.mark.parametrize("name, kw", [("lazy", dict(n=16)), ("doublespin", dict(n=16, g=2))])
+def test_long_lazy_cycles_take_their_steps_from_macro_leaves(cycle_report, name, kw):
+    report = cycle_report(name, **kw)
+    steps, stop = report._macro
+    assert stop == 0
+    assert 10 * steps >= 9 * report.length
+
+
+def test_rpgc_turns_macro_leaves_off():
+    # rpgc d=13 misses nearly every block; its misses outrun its hits by
+    # the margin about 65 blocks after the first block start
+    report = enumerate_cycle(make_counter("rpgc", dim=13))
+    steps, stop = report._macro
+    assert 0 < stop <= 1024
+    assert 20 * steps <= report.length
+
+
+@pytest.mark.parametrize(
+    "name, kw, limit",
+    [
+        ("doublespin", dict(n=8, g=2), 9 * 1024),
+        ("wine", dict(n=8, g=2, encoding="brgc"), 9 * 1024),
+        # 2% above the 19.4 KiB of single steps alone: the macro tree is
+        # freed when the run turns it off, before the single-step tree peaks
+        ("rpgc", dict(dim=13), 19.4 * 1.02 * 1024),
+    ],
+)
+def test_macro_leaves_keep_the_enumeration_peak(name, kw, limit):
+    counter = make_counter(name, **kw)
+    # the first run in a process also allocates what later runs reuse
+    enumerate_cycle(counter)
+    tracemalloc.start()
+    try:
+        enumerate_cycle(counter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
 def _dat_step(node, state, ledger):
     """One step of a random decision assignment tree (see ``_dat_trees``)."""
     while node is not None:
@@ -472,6 +543,13 @@ def _dat_node(rng, dim, budget, depth):
     return "leaf", writes, then
 
 
+def _clocked_step(off, width, node, state, ledger):
+    """A binary clock of ``width`` bits at ``off``, whose wrap takes one
+    step of the random tree ``node``."""
+    if increment_field(state, ledger, off, width):
+        _dat_step(node, state, ledger)
+
+
 @st.composite
 def _dat_trees(draw):
     """A counter run by a random decision assignment tree, a start state
@@ -482,23 +560,52 @@ def _dat_trees(draw):
     nothing is wanted). A leaf writes 0-3 bits, each a constant or a
     toggle, and may go on to a subtree of reads after its writes. Paths
     are at most dim + 1 tests deep. The tree comes from a drawn seed, which
-    keeps each case to a few draws."""
+    keeps each case to a few draws.
+
+    Most cases put a binary clock of 1-7 bits above the tree's dim bits.
+    The clock's wrap takes one step of a tree over all the bits, which may
+    read and write the clock too. Such runs are up to 128 times as long as
+    the tree's, long enough to walk macro leaves; the clock's low bits flip
+    several times inside a block, and the tree's writes to the clock shift
+    returns off the block boundaries."""
     dim = draw(st.integers(min_value=2, max_value=9))
+    clock = draw(st.integers(min_value=0, max_value=7))
+    width = dim + clock
     rng = random.Random(draw(st.integers(min_value=0, max_value=(1 << 32) - 1)))
-    tree = _dat_node(rng, dim, [rng.randint(0, 3 * dim)], dim + 1)
-    start = draw(st.integers(min_value=0, max_value=(1 << dim) - 1))
-    cap = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4 << dim)))
-    initial = BitState.from_int(start, dim)
-    return CounterSpec("dat", dim, {"dim": dim}, initial, partial(_dat_step, tree)), cap
+    tree = _dat_node(rng, width, [rng.randint(0, 3 * dim)], dim + 1)
+    start = draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+    cap = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=16 << dim)))
+    initial = BitState.from_int(start, width)
+    step = partial(_clocked_step, dim, clock, tree) if clock else partial(_dat_step, tree)
+    return CounterSpec("dat", width, {"dim": width}, initial, step), cap
 
 
-@settings(max_examples=3000, deadline=None)
-@given(_dat_trees())
-def test_tree_walk_matches_interpreted_steps_on_random_trees(case):
-    counter, cap = case
-    report = enumerate_cycle(counter, cap)
-    assert _observed(report) == reference_cycle(counter, cap or DEFAULT_CYCLE_CAP)
-    assert 0 < report.interpreted_steps <= report.length
+def test_tree_walk_matches_interpreted_steps_on_random_trees():
+    # each case also counts towards the paths of the run that a macro leaf
+    # reaches: a return to the start or to the saved state inside a block,
+    # which the block's steps must take singly, and a cut by the cap
+    seen = Counter()
+
+    @settings(max_examples=3000, deadline=None)
+    @given(_dat_trees())
+    def check(case):
+        counter, cap = case
+        report = enumerate_cycle(counter, cap)
+        assert _observed(report) == reference_cycle(counter, cap or DEFAULT_CYCLE_CAP)
+        assert 0 < report.interpreted_steps <= report.length
+        if report._macro[0]:
+            inside = report.length % _K != 0
+            seen["macro"] += 1
+            seen["closed inside a block"] += report.closed and inside
+            seen["rho inside a block"] += not report.distinct and inside
+            seen["cut by the cap"] += not report.closed and report.distinct
+
+    check()
+    # about 490 cases walk a macro leaf; of those about 30 return to the
+    # start and 80 to the saved state off a block boundary, and 45 are cut
+    # by the cap
+    assert seen["macro"] >= 300, seen
+    assert min(seen.values()) >= 10, seen
 
 
 def _flag_step(state, ledger):
@@ -617,6 +724,7 @@ def test_per_step_arrays_stay_out_of_equality_and_repr():
     assert len(read.step_hamming) == read.length == 32
     assert fresh == read and repr(fresh) == repr(read)
     assert "step_" not in repr(read) and "_source" not in repr(read)
+    assert "_macro" not in repr(read)
 
 
 def _charged_step(counter, value):
