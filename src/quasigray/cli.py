@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _selector_kwargs(args: argparse.Namespace) -> Dict[str, object]:
     layers = None
-    if getattr(args, "layers", None):
+    if args.layers:
         layers = _parse_int_list(args.layers, "--layers")
     return dict(
         dim=args.dim,
@@ -128,7 +128,7 @@ def _selector_kwargs(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _cap(args: argparse.Namespace) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         if args.cap < 1:
             raise UsageError(f"--cap must be >= 1, got {args.cap}")
         return args.cap

@@ -14,7 +14,6 @@ from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from operator import mul
 from typing import Dict, Optional, Tuple
 
 from .probes import BitState, CounterSpec, ProbeLedger, UsageError, increment_field
@@ -50,9 +49,10 @@ class CycleReport:
     ``step_reads``, ``step_writes`` and ``step_hamming`` hold each step's
     reads, writes and the number of bits it changed, in arrays of typecode
     ``'H'`` below 2^16 bits and ``'I'`` from there on. The enumeration keeps
-    no per-step data: the first access to any of them runs it once more,
-    from the same start state with the same cap, records every step and
-    keeps the three arrays on the report.
+    no per-step data: the first access to any of them replays the run's
+    ``length`` steps from its start state, each through the step function
+    under the ledger, checks the replay's sums and maxima against the
+    report and keeps the three arrays on the report.
     """
 
     counter: str
@@ -72,7 +72,7 @@ class CycleReport:
     last_state: Optional[str]
     # steps that ran the counter's step function; the rest walked the tree
     interpreted_steps: int
-    # (counter, start state as an int, cap): what the traced re-run repeats
+    # (counter, start state as an int): where the replay starts
     _source: tuple = field(compare=False, repr=False)
     _columns: Optional[Tuple[array, array, array]] = field(default=None, compare=False, repr=False)
     # the steps taken from macro leaves, _K at a time, and the step at which
@@ -81,23 +81,37 @@ class CycleReport:
 
     @property
     def step_reads(self) -> array:
-        return self._traced()[0]
+        return self._replayed()[0]
 
     @property
     def step_writes(self) -> array:
-        return self._traced()[1]
+        return self._replayed()[1]
 
     @property
     def step_hamming(self) -> array:
-        return self._traced()[2]
+        return self._replayed()[2]
 
-    def _traced(self) -> Tuple[array, array, array]:
+    def _replayed(self) -> Tuple[array, array, array]:
         if self._columns is None:
-            counter, start, cap = self._source
-            traced = _run(counter, BitState.from_int(start, counter.dim), cap, True)
-            if traced != self:
-                raise AssertionError("the traced re-run disagrees with the report")
-            self._columns = traced._columns
+            counter, prev = self._source
+            state = BitState.from_int(prev, self.dim)
+            ledger = ProbeLedger()
+            # a step's counts are at most dim: two bytes each below 2^16 bits
+            typecode = "H" if self.dim < 1 << 16 else "I"
+            columns = reads, writes, hamming = array(typecode), array(typecode), array(typecode)
+            for _ in range(self.length):
+                ledger.open_step()
+                counter.advance(state, ledger)
+                r, w = ledger.close_step()
+                reads.append(r)
+                writes.append(w)
+                hamming.append((prev ^ state.value).bit_count())
+                prev = state.value
+            replayed = (ledger.total_reads, ledger.total_writes, ledger.max_reads, ledger.max_writes)
+            reported = (self.total_reads, self.total_writes, self.worst_reads, self.worst_writes)
+            if replayed != reported or max(hamming) != self.max_hamming:
+                raise AssertionError("the step-function replay disagrees with the report")
+            self._columns = columns
         return self._columns
 
 
@@ -108,9 +122,6 @@ _MAX_PATH = 64
 
 # the steps a macro leaf stands for
 _K = 8
-
-# entries of one macro leaf in its store
-_LEAF = 5
 
 # a run stops trying macro leaves once its misses outnumber its hits by more
 # than this
@@ -209,11 +220,11 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     which holds the bits the step flips and its read and write counts. A
     step whose walk ends at a leaf applies it and adds one to the leaf's
     visit count; any other step runs the counter under the ledger and
-    grafts its path. The totals are the ledger's plus each leaf's
-    counts times its visits, summed once after the run. Memory is
-    O(tree size), whatever the cycle length; the per-step arrays of the
-    report are built only when first read. The tree lives only as long as
-    this call.
+    grafts its path. The totals are the ledger's, plus each leaf's counts
+    times its visits, summed once after the run, plus the counts of every
+    block taken from a macro leaf. Memory is O(tree size), whatever the
+    cycle length; the per-step arrays of the report are replayed only when
+    first read. The trees live only as long as this call.
 
     A second tree, of the same layout, takes ``_K`` steps at a time. Its
     walk starts at step counts that are multiples of ``_K``. Its leaf is
@@ -230,33 +241,20 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     and every reported field is what single steps give. Macro leaves are
     tried once the single-step tree holds a leaf, and not after their
     misses outnumber their hits by more than ``_MISS_MARGIN``.
-    """
-    if cap is None:
-        cap = DEFAULT_CYCLE_CAP
-    if cap < 1:
-        raise UsageError(f"cap must be >= 1, got {cap}")
-    return _run(counter, counter.fresh_state(), cap, False)
-
-
-def _block_totals(mleaves) -> Tuple[int, int]:
-    """The reads and writes of the steps taken from the macro leaves in
-    ``mleaves``, whose entries are ``_LEAF`` to a leaf."""
-    visits = mleaves[4::_LEAF]
-    return sum(map(mul, mleaves[2::_LEAF], visits)), sum(map(mul, mleaves[3::_LEAF], visits))
-
-
-def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleReport:
-    """The loop of ``enumerate_cycle`` from ``state``; ``trace`` also
-    appends every step's reads, writes and Hamming distance to the
-    report's per-step arrays, and takes every step singly.
 
     Brent's saves and block starts are both events at a step count,
     ``next_stop``, so a step that reaches neither pays one comparison, as
     it does once macro leaves are off. At a block start, a block recorded
     from the previous one is grafted, and then blocks are taken from macro
     leaves while they can be; a miss leaves the next ``_K`` steps to
-    single steps, which record that block."""
+    single steps, which record that block.
+    """
+    if cap is None:
+        cap = DEFAULT_CYCLE_CAP
+    if cap < 1:
+        raise UsageError(f"cap must be >= 1, got {cap}")
     dim = counter.dim
+    state = counter.fresh_state()
     ledger = ProbeLedger()
     advance = counter.advance
     open_step = ledger.open_step
@@ -271,12 +269,6 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
     # the next step count at which a state is saved or a block may start
     next_stop = 1
 
-    columns = None
-    if trace:
-        # a step's counts are at most dim: two bytes each below 2^16 bits
-        typecode = "H" if dim < 1 << 16 else "I"
-        columns = (array(typecode), array(typecode), array(typecode))
-        append_reads, append_writes, append_hamming = (c.append for c in columns)
     max_hamming = 0
     closed = False
     distinct = True
@@ -289,10 +281,10 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
     visits: list = []
 
     # the macro tree, whose leaves stand for _K steps from a block start;
-    # its leaf ~off holds entries off to off + 4 of mleaves: the bits the
-    # block flips, ~ the bits any of its steps flips, its reads, its writes
-    # and the leaf's visits. Below 64 bits they fit in signed 64-bit ints.
-    blocks = not trace
+    # its leaf ~off holds entries off to off + 3 of mleaves: the bits the
+    # block flips, ~ the bits any of its steps flips, its reads and its
+    # writes. Below 64 bits they fit in signed 64-bit ints.
+    blocks = True
     mtree = array("i")
     mleaves = array("q") if dim < 64 else []
     hits = misses = macro_stop = 0
@@ -313,8 +305,7 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
                 node = child
         if child < 0:
             i = ~child
-            flip, r, w = leaves[i]
-            snap ^= flip
+            snap ^= leaves[i][0]
             visits[i] += 1
         else:
             state.value = snap
@@ -331,16 +322,12 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
                         leaves.append(leaf)
                         visits.append(0)
                     tree[slot] = ~i
-            r, w = close_step()
+            close_step()
             # a leaf changes as many bits as the step that grafted it, so
             # the interpreted steps hold the maximum
             h = (prev ^ snap).bit_count()
             if h > max_hamming:
                 max_hamming = h
-        if trace:
-            append_reads(r)
-            append_writes(w)
-            append_hamming((prev ^ snap).bit_count())
         steps += 1
         if snap == snap0:
             closed = True
@@ -364,13 +351,11 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
                     if slot >= 0:
                         mtree[slot] = ~len(mleaves)
                         mleaves.extend(block[1:])
-                        mleaves.append(0)
                     recording = None
                     misses += 1
                     if misses - hits > _MISS_MARGIN:
                         blocks = False
                         macro_stop = steps
-                        block_reads, block_writes = _block_totals(mleaves)
                         mtree = mleaves = None
                 # a block is taken whole only where it crosses no save and
                 # no state in it can equal the start or the saved state
@@ -392,7 +377,8 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
                     if not (snap ^ snap0) & untouched or not (snap ^ saved) & untouched:
                         break
                     snap ^= mleaves[off]
-                    mleaves[off + 4] += 1
+                    block_reads += mleaves[off + 2]
+                    block_writes += mleaves[off + 3]
                     hits += 1
                     steps += _K
                     if steps == next_save:
@@ -403,8 +389,6 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
                 next_stop = min(next_save, (steps | (_K - 1)) + 1)
         prev = snap
 
-    if blocks:
-        block_reads, block_writes = _block_totals(mleaves)
     total_reads = ledger.total_reads + block_reads
     total_writes = ledger.total_writes + block_writes
     for (_, r, w), n in zip(leaves, visits):
@@ -429,8 +413,7 @@ def _run(counter: CounterSpec, state: BitState, cap: int, trace: bool) -> CycleR
         total_writes=total_writes,
         last_state=last_state,
         interpreted_steps=ledger.steps,
-        _source=(counter, snap0, cap),
-        _columns=columns,
+        _source=(counter, snap0),
         _macro=(_K * hits, macro_stop),
     )
 
@@ -459,8 +442,8 @@ def verify_quasi_gray(report: CycleReport, c: int) -> QuasiGrayCheck:
     bits and every step wrote at most c bits.
 
     The report's maxima decide. Only a failing check reads the per-step
-    arrays, at the cost of one more enumeration, to name its first
-    violating step."""
+    arrays, at the cost of a replay that runs the step function on every
+    step, to name its first violating step."""
     if c < 1:
         raise UsageError(f"c must be >= 1, got {c}")
     if not report.closed or not report.distinct:

@@ -680,6 +680,24 @@ def test_verify_of_a_passing_report_builds_no_per_step_data():
 
 
 @pytest.mark.parametrize(
+    "field, by",
+    [
+        ("total_reads", 1),
+        ("total_writes", -1),
+        ("worst_reads", 1),
+        ("worst_writes", 1),
+        ("max_hamming", 1),
+    ],
+)
+def test_per_step_arrays_check_the_replay_against_the_report(field, by):
+    report = enumerate_cycle(make_counter("lazy", n=4))
+    altered = replace(report, **{field: getattr(report, field) + by})
+    with pytest.raises(AssertionError, match="replay disagrees"):
+        altered.step_reads
+    assert altered._columns is None
+
+
+@pytest.mark.parametrize(
     "name, kw, cap",
     # the rpgc run stops at 2^16 of its 2^20 steps: traced by tracemalloc,
     # the whole cycle takes about a minute
