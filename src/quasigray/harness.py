@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .probes import BitState, CounterSpec, ProbeLedger, UsageError, increment_field
 
@@ -46,13 +46,9 @@ class CycleReport:
     once one was. ``last_state`` is the canonical text of the state visited
     just before that return.
 
-    ``step_reads``, ``step_writes`` and ``step_hamming`` hold each step's
-    reads, writes and the number of bits it changed, in arrays of typecode
-    ``'H'`` below 2^16 bits and ``'I'`` from there on. The enumeration keeps
-    no per-step data: the first access to any of them replays the run's
-    ``length`` steps from its start state, each through the step function
-    under the ledger, checks the replay's sums and maxima against the
-    report and keeps the three arrays on the report.
+    The enumeration keeps no per-step data. :meth:`replay` gives each
+    step's reads, writes and changed bits by running the step function
+    again, one step at a time.
     """
 
     counter: str
@@ -74,45 +70,41 @@ class CycleReport:
     interpreted_steps: int
     # (counter, start state as an int): where the replay starts
     _source: tuple = field(compare=False, repr=False)
-    _columns: Optional[Tuple[array, array, array]] = field(default=None, compare=False, repr=False)
     # the steps taken from macro leaves, _K at a time, and the step at which
     # the run turned macro leaves off for missing too often, 0 if it did not
     _macro: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
+    def replay(self) -> Iterator[Tuple[int, int, int]]:
+        """Yield ``(reads, writes, hamming)`` for each of the run's
+        ``length`` steps, running the step function under a fresh ledger
+        from the start state, with no tree. After the last step, raise
+        AssertionError unless the replay's sums and maxima equal the
+        report's."""
+        counter, prev = self._source
+        state = BitState.from_int(prev, self.dim)
+        ledger = ProbeLedger()
+        max_hamming = 0
+        for _ in range(self.length):
+            ledger.open_step()
+            counter.advance(state, ledger)
+            r, w = ledger.close_step()
+            h = (prev ^ state.value).bit_count()
+            max_hamming = max(max_hamming, h)
+            prev = state.value
+            yield r, w, h
+        replayed = (ledger.total_reads, ledger.total_writes, ledger.max_reads, ledger.max_writes)
+        reported = (self.total_reads, self.total_writes, self.worst_reads, self.worst_writes)
+        if replayed != reported or max_hamming != self.max_hamming:
+            raise AssertionError("the step-function replay disagrees with the report")
+
+    # views kept for perfbench's traced layer split, which zips the two
     @property
-    def step_reads(self) -> array:
-        return self._replayed()[0]
+    def step_reads(self) -> Iterator[int]:
+        return (r for r, _, _ in self.replay())
 
     @property
-    def step_writes(self) -> array:
-        return self._replayed()[1]
-
-    @property
-    def step_hamming(self) -> array:
-        return self._replayed()[2]
-
-    def _replayed(self) -> Tuple[array, array, array]:
-        if self._columns is None:
-            counter, prev = self._source
-            state = BitState.from_int(prev, self.dim)
-            ledger = ProbeLedger()
-            # a step's counts are at most dim: two bytes each below 2^16 bits
-            typecode = "H" if self.dim < 1 << 16 else "I"
-            columns = reads, writes, hamming = array(typecode), array(typecode), array(typecode)
-            for _ in range(self.length):
-                ledger.open_step()
-                counter.advance(state, ledger)
-                r, w = ledger.close_step()
-                reads.append(r)
-                writes.append(w)
-                hamming.append((prev ^ state.value).bit_count())
-                prev = state.value
-            replayed = (ledger.total_reads, ledger.total_writes, ledger.max_reads, ledger.max_writes)
-            reported = (self.total_reads, self.total_writes, self.worst_reads, self.worst_writes)
-            if replayed != reported or max(hamming) != self.max_hamming:
-                raise AssertionError("the step-function replay disagrees with the report")
-            self._columns = columns
-        return self._columns
+    def step_writes(self) -> Iterator[int]:
+        return (w for _, w, _ in self.replay())
 
 
 # grafted paths test fewer positions than this, so that at large dimensions,
@@ -165,14 +157,11 @@ def _graft(tree: array, snap: int, first: int, then: int, longest: int) -> int:
     return slot
 
 
-def _block(
-    tree: array, leaves: list, snap: int, longest: int
-) -> Optional[Tuple[int, int, int, int, int]]:
+def _block(tree: array, leaves: list, snap: int) -> Optional[Tuple[int, int, int, int, int]]:
     """The ``_K`` steps from state ``snap`` as the single-step tree, which
     is not empty, takes them, each down to a leaf: the positions their
     walks tested, the bits they flip in all, ~ the bits any of them flips,
-    and their summed reads and writes. None if a step falls off the tree
-    or the walks test ``longest`` positions or more.
+    and their summed reads and writes. None if a step falls off the tree.
 
     Every leaf flips a fixed set of bits, and the states after each step
     of the block differ from those of ``snap`` by fixed masks. A state that
@@ -189,8 +178,6 @@ def _block(
             if node <= 0:
                 break
         if not node:
-            return None
-        if path.bit_count() >= longest:
             return None
         flip, r, w = leaves[~node]
         touched |= flip
@@ -223,8 +210,8 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     grafts its path. The totals are the ledger's, plus each leaf's counts
     times its visits, summed once after the run, plus the counts of every
     block taken from a macro leaf. Memory is O(tree size), whatever the
-    cycle length; the per-step arrays of the report are replayed only when
-    first read. The trees live only as long as this call.
+    cycle length; :meth:`CycleReport.replay` recomputes per-step figures.
+    The trees live only as long as this call.
 
     A second tree, of the same layout, takes ``_K`` steps at a time. Its
     walk starts at step counts that are multiples of ``_K``. Its leaf is
@@ -237,10 +224,12 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     the block's first state only in bits some step flips, so the block is
     taken whole only if the start state and the state Brent's rule saved
     each differ from its first state in some other bit, and only if it
-    ends by the cap and by the next save. Otherwise its steps run singly,
-    and every reported field is what single steps give. Macro leaves are
-    tried once the single-step tree holds a leaf, and not after their
-    misses outnumber their hits by more than ``_MISS_MARGIN``.
+    ends by the cap. Otherwise its steps run singly, and every reported
+    field is what single steps give. No block crosses a save: a block
+    starts at a multiple of ``_K``, and the next save, a power of two above
+    it, is a multiple of ``_K`` too. Macro leaves are tried once the
+    single-step tree holds a leaf, and not after their misses outnumber
+    their hits by more than ``_MISS_MARGIN``.
 
     Brent's saves and block starts are both events at a step count,
     ``next_stop``, so a step that reaches neither pays one comparison, as
@@ -345,7 +334,7 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                     # miss, which its grafts may turn into tree hits
                     slot = -1
                     if ledger.steps == recorded_at:
-                        block = _block(tree, leaves, recording, longest)
+                        block = _block(tree, leaves, recording)
                         if block is not None:
                             slot = _graft(mtree, recording, block[0], 0, longest)
                     if slot >= 0:
@@ -357,9 +346,10 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                         blocks = False
                         macro_stop = steps
                         mtree = mleaves = None
-                # a block is taken whole only where it crosses no save and
-                # no state in it can equal the start or the saved state
-                while blocks and steps + _K <= cap and steps + _K <= next_save:
+                # the next save, a power of two above a multiple of _K, is
+                # at or past the block's end; a block is taken whole only
+                # where no state in it can equal the start or the saved state
+                while blocks and steps + _K <= cap:
                     leaf = 0
                     if mtree:
                         node = 0
@@ -441,21 +431,21 @@ def verify_quasi_gray(report: CycleReport, c: int) -> QuasiGrayCheck:
     """Pass iff every consecutive pair (wrap included) differs in at most c
     bits and every step wrote at most c bits.
 
-    The report's maxima decide. Only a failing check reads the per-step
-    arrays, at the cost of a replay that runs the step function on every
-    step, to name its first violating step."""
+    The report's maxima decide. Only a failing check replays the run, and
+    only up to its first violating step, which it names."""
     if c < 1:
         raise UsageError(f"c must be >= 1, got {c}")
     if not report.closed or not report.distinct:
         raise UsageError("verify_quasi_gray needs a closed, distinct report")
     if report.max_hamming <= c and report.worst_writes <= c:
         return QuasiGrayCheck(passed=True, c=c)
-    for step, (h, w) in enumerate(zip(report.step_hamming, report.step_writes), 1):
+    # a replay that ends raises unless its maxima are the report's, so a
+    # step of it exceeds c first
+    for step, (_, w, h) in enumerate(report.replay(), 1):
         if h > c:
             return QuasiGrayCheck(False, c, step, "hamming", h)
         if w > c:
             return QuasiGrayCheck(False, c, step, "writes", w)
-    raise AssertionError("aggregates disagree with per-step data")
 
 
 # significant digits of every decimal rendering in reports

@@ -93,9 +93,6 @@ class BitState:
             return NotImplemented
         return self.dim == other.dim and self.value == other.value
 
-    def __hash__(self) -> int:
-        return hash((self.dim, self.value))
-
     def __repr__(self) -> str:
         return f"BitState({self.to_text()!r})"
 

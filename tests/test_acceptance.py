@@ -371,7 +371,7 @@ def test_criterion_12_bounded_walk_at_scale():
     elapsed = time.monotonic() - started
     ok = (
         report.length == 100_000
-        and min(report.step_writes) == 1
+        and min(w for _, w, _ in report.replay()) == 1
         and report.worst_writes == 1
         and report.worst_reads <= 1024
         and elapsed < 30.0

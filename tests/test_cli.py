@@ -71,6 +71,30 @@ def test_missing_parameters_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "command, code, err, rows",
+    [
+        ("bench --counter rpgc --dims 5-3", 2, "error: empty range '5-3' for --dims\n", 0),
+        ("bench --counter rpgc --dims a-b", 2, "error: bad range 'a-b' for --dims\n", 0),
+        ("bench --counter rpgc --dims x", 2, "error: bad value 'x' for --dims\n", 0),
+        ("bench --counter rpgc --dims ,", 2, "error: --dims needs at least one value\n", 0),
+        (
+            "verify --counter rpgc --dim 6 --cap 5",
+            1,
+            "verify failed: cycle closed=False distinct=True\n",
+            0,
+        ),
+        ("bench --counter composite --layers 3,2", 0, "", 1),
+    ],
+)
+def test_cli_input_checks(capsys, command, code, err, rows):
+    assert run_cli(command.split()) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    # a bench writes a header and then one CSV line per configuration
+    assert len(captured.out.splitlines()) == (rows + 1 if rows else 0)
+
+
+@pytest.mark.parametrize(
     "command,flags",
     [
         ("cycle --counter rpgc --dim 3 --n 5", "--n"),
@@ -133,7 +157,7 @@ def test_cap_zero_is_rejected(monkeypatch, capsys):
 
 
 def test_steps_touching_2_16_bits_or_more_exit_0(capsys):
-    # such a step's read count does not fit a two-byte per-step column
+    # a step may read 2^16 bits or more: its count passes two bytes
     assert run_cli(["cycle", "--counter", "rpgc", "--dim", "65536", "--cap", "3"]) == 0
     assert run_cli(["cycle", "--counter", "brgc", "--dim", "70000", "--cap", "1"]) == 0
     assert "avg_reads=70000 " in capsys.readouterr().out

@@ -136,7 +136,7 @@ def test_a_run_that_never_returns_is_stopped(dim):
     report = enumerate_cycle(counter)
     assert (report.closed, report.distinct, report.last_state) == (False, False, None)
     # the state saved at step 4 (value 4) recurs at step 8
-    assert report.length == len(report.step_reads) == 8
+    assert report.length == len(list(report.replay())) == 8
     assert report.interpreted_steps == (8 if dim == 3 else 6)
     with pytest.raises(UsageError):
         verify_quasi_gray(report, 3)
@@ -199,7 +199,7 @@ def test_enumeration_is_deterministic():
     a = enumerate_cycle(make_counter("wine", n=4, g=1))
     b = enumerate_cycle(make_counter("wine", n=4, g=1))
     assert json_text(collect_metrics(a)) == json_text(collect_metrics(b))
-    assert a.step_reads == b.step_reads
+    assert list(a.replay()) == list(b.replay())
 
 
 def test_csv_schema_and_rendering(cycle_report):
@@ -290,7 +290,7 @@ def test_every_counter_writes_each_step_within_dim(cycle_report):
         ("composite", dict(layers=(3, 2))),
     ]:
         report = cycle_report(name, **kw)
-        assert min(report.step_writes) >= 1
+        assert min(w for _, w, _ in report.replay()) >= 1
         assert report.worst_reads <= report.dim
         assert report.worst_writes <= report.dim
 
@@ -400,11 +400,12 @@ def reference_cycle(counter, cap):
 
 def _observed(report):
     """Every compared field of the report but ``interpreted_steps``, and
-    its per-step arrays as lists."""
+    its replayed per-step figures as lists."""
     observed = {f.name: getattr(report, f.name) for f in fields(report) if f.compare}
     del observed["interpreted_steps"]
+    columns = zip(*report.replay())
     for key in ("step_reads", "step_writes", "step_hamming"):
-        observed[key] = getattr(report, key).tolist()
+        observed[key] = list(next(columns))
     return observed
 
 
@@ -673,10 +674,49 @@ def test_verify_names_the_first_violating_step(counter, c):
     assert (check.violation_step, check.violation_kind, check.violation_value) == expected
 
 
+@pytest.mark.parametrize(
+    "counter, c, text",
+    [
+        (make_counter("binary", dim=4), 1, "step 2: hamming = 2 exceeds c = 1"),
+        # the first step changes one bit but writes three
+        (FLAG_COUNTER, 2, "step 1: writes = 3 exceeds c = 2"),
+        (FLAG_COUNTER, 3, "quasi-Gray with c=3"),
+    ],
+    ids=["binary-hamming", "flags-writes", "flags-pass"],
+)
+def test_verify_describes_its_outcome(counter, c, text):
+    assert verify_quasi_gray(enumerate_cycle(counter), c).describe() == text
+
+
+def _counting(counter):
+    """``counter`` with its step function wrapped to count its calls."""
+    calls = [0]
+
+    def advance(state, ledger):
+        calls[0] += 1
+        counter.advance(state, ledger)
+
+    return replace(counter, advance=advance), calls
+
+
 def test_verify_of_a_passing_report_builds_no_per_step_data():
-    report = enumerate_cycle(make_counter("wine", n=4, g=2))
+    counter, calls = _counting(make_counter("wine", n=4, g=2))
+    report = enumerate_cycle(counter)
+    assert calls[0] == report.interpreted_steps
+    calls[0] = 0
     assert verify_quasi_gray(report, 3).passed
-    assert report._columns is None
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("name, kw, step", [("lazy", dict(n=16), 2), ("binary", dict(dim=20), 2)])
+def test_a_failing_verify_replays_up_to_its_first_violation(name, kw, step):
+    counter, calls = _counting(make_counter(name, **kw))
+    report = enumerate_cycle(counter)
+    assert calls[0] == report.interpreted_steps
+    calls[0] = 0
+    check = verify_quasi_gray(report, 1)
+    assert not check.passed
+    assert calls[0] == check.violation_step == step
 
 
 @pytest.mark.parametrize(
@@ -693,8 +733,7 @@ def test_per_step_arrays_check_the_replay_against_the_report(field, by):
     report = enumerate_cycle(make_counter("lazy", n=4))
     altered = replace(report, **{field: getattr(report, field) + by})
     with pytest.raises(AssertionError, match="replay disagrees"):
-        altered.step_reads
-    assert altered._columns is None
+        list(altered.replay())
 
 
 @pytest.mark.parametrize(
@@ -715,11 +754,7 @@ def test_enumeration_memory_does_not_grow_with_the_steps(name, kw, cap):
         tracemalloc.stop()
     assert report.length == (131070 if cap is None else cap)
     assert peak < 128 * 1024
-    assert report._columns is None
-    reads = report.step_reads
-    assert report._columns is not None
-    assert len(reads) == report.length and reads.typecode == "H"
-    assert report.step_writes is report.step_writes
+    assert sum(1 for _ in report.replay()) == report.length
 
 
 def test_grafts_stop_short_of_long_read_paths():
@@ -739,7 +774,7 @@ def test_grafts_stop_short_of_long_read_paths():
 def test_per_step_arrays_stay_out_of_equality_and_repr():
     counter = make_counter("rpgc", dim=5)
     fresh, read = enumerate_cycle(counter), enumerate_cycle(counter)
-    assert len(read.step_hamming) == read.length == 32
+    assert len(list(read.replay())) == read.length == 32
     assert fresh == read and repr(fresh) == repr(read)
     assert "step_" not in repr(read) and "_source" not in repr(read)
     assert "_macro" not in repr(read)

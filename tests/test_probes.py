@@ -104,6 +104,13 @@ def test_bitstate_text_form_prints_high_bit_first():
     assert BitState.from_text("001").bits == (1, 0, 0)
 
 
+def test_bitstate_is_unhashable():
+    # a state changes under every write, so it compares by value but is no key
+    with pytest.raises(TypeError):
+        hash(BitState(3))
+    assert BitState.from_text("011") == BitState.from_int(3, 3)
+
+
 def test_bitstate_parser_rejects_other_characters():
     with pytest.raises(UsageError):
         BitState.from_text("01x")
