@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from .bounds import check_bounds, paper_bounds
 from .composite import GRAY_STEPS, PreconditionError
 from .counters import COUNTERS, make_counter, select_form
-from .harness import cycle_cap_from_env, enumerate_cycle, flatten_report, verify_quasi_gray
+from .harness import collect_metrics, cycle_cap_from_env, enumerate_cycle, verify_quasi_gray
 from .probes import MAX_DIM, UsageError
 from .reports import build_table1_rows, csv_text, json_chunks, summary_text
 
@@ -163,7 +163,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     counter = make_counter(args.counter, **_selector_kwargs(args))
     cap = _cap(args)
     report = enumerate_cycle(counter, cap)
-    row = flatten_report(report)
+    row = collect_metrics(report)
     if args.emit == "json":
         _write_out(json_chunks(row), args.output)
     elif args.emit == "csv":
@@ -227,7 +227,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for cfg in _bench_configs(args):
         counter = make_counter(args.counter, **cfg)
-        rows.append(flatten_report(enumerate_cycle(counter, cap)))
+        rows.append(collect_metrics(enumerate_cycle(counter, cap)))
     _write_rows(args, rows)
     return 0
 

@@ -157,11 +157,12 @@ def _graft(tree: array, snap: int, first: int, then: int, longest: int) -> int:
     return slot
 
 
-def _block(tree: array, leaves: list, snap: int) -> Optional[Tuple[int, int, int, int, int]]:
-    """The ``_K`` steps from state ``snap`` as the single-step tree, which
-    is not empty, takes them, each down to a leaf: the positions their
-    walks tested, the bits they flip in all, ~ the bits any of them flips,
-    and their summed reads and writes. None if a step falls off the tree.
+def _block(tree: array, leaves: list, snap: int) -> Tuple[int, int, int, int, int]:
+    """The ``_K`` steps from state ``snap`` as the single-step tree takes
+    them, each down to a leaf: the positions their walks tested, the bits
+    they flip in all, ~ the bits any of them flips, and their summed reads
+    and writes. The caller passes a block whose steps all walked to a leaf
+    when it ran, so each walk repeated here ends at one too.
 
     Every leaf flips a fixed set of bits, and the states after each step
     of the block differ from those of ``snap`` by fixed masks. A state that
@@ -177,8 +178,6 @@ def _block(tree: array, leaves: list, snap: int) -> Optional[Tuple[int, int, int
             node = tree[node + 1 + ((snap >> pos) & 1)]
             if node <= 0:
                 break
-        if not node:
-            return None
         flip, r, w = leaves[~node]
         touched |= flip
         reads += r
@@ -205,13 +204,12 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     interprets: a node is ``(position, child0, child1)`` in a flat array, a
     child is 0 while unexplored, a node offset, or ``~i`` for leaf ``i``,
     which holds the bits the step flips and its read and write counts. A
-    step whose walk ends at a leaf applies it and adds one to the leaf's
-    visit count; any other step runs the counter under the ledger and
-    grafts its path. The totals are the ledger's, plus each leaf's counts
-    times its visits, summed once after the run, plus the counts of every
-    block taken from a macro leaf. Memory is O(tree size), whatever the
-    cycle length; :meth:`CycleReport.replay` recomputes per-step figures.
-    The trees live only as long as this call.
+    step whose walk ends at a leaf applies it; any other step runs the
+    counter under the ledger and grafts its path. Every leaf taken, of
+    either tree, adds its reads and writes to one pair of sums as it is
+    taken, and the totals are those sums plus the ledger's. Memory is
+    O(tree size), whatever the cycle length; :meth:`CycleReport.replay`
+    recomputes per-step figures. The trees live only as long as this call.
 
     A second tree, of the same layout, takes ``_K`` steps at a time. Its
     walk starts at step counts that are multiples of ``_K``. Its leaf is
@@ -267,7 +265,8 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     tree = array("i")
     leaves: list = []
     leaf_ids: Dict[tuple, int] = {}
-    visits: list = []
+    # the reads and writes of the leaves taken, of either tree
+    reads = writes = 0
 
     # the macro tree, whose leaves stand for _K steps from a block start;
     # its leaf ~off holds entries off to off + 3 of mleaves: the bits the
@@ -277,7 +276,6 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     mtree = array("i")
     mleaves = array("q") if dim < 64 else []
     hits = misses = macro_stop = 0
-    block_reads = block_writes = 0
     # the state at which a block missing from mtree began, and the steps
     # the ledger had interpreted then
     recording = None
@@ -293,9 +291,10 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                     break
                 node = child
         if child < 0:
-            i = ~child
-            snap ^= leaves[i][0]
-            visits[i] += 1
+            flip, r, w = leaves[~child]
+            snap ^= flip
+            reads += r
+            writes += w
         else:
             state.value = snap
             open_step()
@@ -309,7 +308,6 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                     i = leaf_ids.setdefault(leaf, len(leaves))
                     if i == len(leaves):
                         leaves.append(leaf)
-                        visits.append(0)
                     tree[slot] = ~i
             close_step()
             # a leaf changes as many bits as the step that grafted it, so
@@ -335,8 +333,7 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                     slot = -1
                     if ledger.steps == recorded_at:
                         block = _block(tree, leaves, recording)
-                        if block is not None:
-                            slot = _graft(mtree, recording, block[0], 0, longest)
+                        slot = _graft(mtree, recording, block[0], 0, longest)
                     if slot >= 0:
                         mtree[slot] = ~len(mleaves)
                         mleaves.extend(block[1:])
@@ -367,8 +364,8 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                     if not (snap ^ snap0) & untouched or not (snap ^ saved) & untouched:
                         break
                     snap ^= mleaves[off]
-                    block_reads += mleaves[off + 2]
-                    block_writes += mleaves[off + 3]
+                    reads += mleaves[off + 2]
+                    writes += mleaves[off + 3]
                     hits += 1
                     steps += _K
                     if steps == next_save:
@@ -379,11 +376,8 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                 next_stop = min(next_save, (steps | (_K - 1)) + 1)
         prev = snap
 
-    total_reads = ledger.total_reads + block_reads
-    total_writes = ledger.total_writes + block_writes
-    for (_, r, w), n in zip(leaves, visits):
-        total_reads += n * r
-        total_writes += n * w
+    total_reads = ledger.total_reads + reads
+    total_writes = ledger.total_writes + writes
     last_state = BitState.from_int(prev, dim).to_text() if closed else None
     return CycleReport(
         counter=counter.name,
@@ -477,43 +471,39 @@ def decimal_str(value: Fraction) -> str:
     return str(quotient)
 
 
-def _rational_entry(value: Fraction) -> Dict[str, object]:
-    return {
-        "num": value.numerator,
-        "den": value.denominator,
-        "decimal": decimal_str(value),
-    }
-
-
-def params_text(params: Dict[str, object]) -> str:
-    """Stable one-cell rendering of the non-dimension parameters."""
-    items = [(k, v) for k, v in sorted(params.items()) if k != "dim"]
-    return ";".join(f"{k}={v}" for k, v in items)
-
-
-def flatten_report(report: CycleReport) -> Dict[str, object]:
-    return {
-        "counter": report.counter,
-        "dim": report.dim,
-        "params": params_text(report.params),
-        "length": report.length,
-        "closed": report.closed,
-        "distinct": report.distinct,
-        "space_efficiency": _rational_entry(report.space_efficiency),
-        "avg_reads": _rational_entry(report.avg_reads),
-        "worst_reads": report.worst_reads,
-        "avg_writes": _rational_entry(report.avg_writes),
-        "worst_writes": report.worst_writes,
-        "max_hamming": report.max_hamming,
-    }
+# the report fields a metrics row holds, in the order reports print them
+CSV_COLUMNS = (
+    "counter",
+    "dim",
+    "params",
+    "length",
+    "closed",
+    "distinct",
+    "space_efficiency",
+    "avg_reads",
+    "worst_reads",
+    "avg_writes",
+    "worst_writes",
+    "max_hamming",
+)
 
 
 def collect_metrics(report: CycleReport) -> Dict[str, object]:
-    """Flatten a closed report for export; rationals carry num/den and a
-    10-significant-digit decimal rendering."""
-    if not report.closed:
-        raise UsageError("collect_metrics needs a closed report")
-    return flatten_report(report)
+    """Flatten a report, closed or not, into one row keyed by
+    :data:`CSV_COLUMNS`. A rational carries num/den and a
+    :data:`DECIMAL_DIGITS`-significant-digit decimal rendering, the
+    parameters become one stable ``k=v;...`` cell without the dimension,
+    and every other value is the report's own."""
+    row: Dict[str, object] = {}
+    for col in CSV_COLUMNS:
+        value = getattr(report, col)
+        if isinstance(value, Fraction):
+            num, den = value.numerator, value.denominator
+            value = {"num": num, "den": den, "decimal": decimal_str(value)}
+        elif isinstance(value, dict):
+            value = ";".join(f"{k}={v}" for k, v in sorted(value.items()) if k != "dim")
+        row[col] = value
+    return row
 
 
 def standard_binary_step(state: BitState, ledger: ProbeLedger) -> None:

@@ -10,23 +10,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bounds import TABLE_COLUMNS, table_bounds
 from .counters import make_counter
-from .harness import enumerate_cycle, flatten_report
+from .harness import CSV_COLUMNS, collect_metrics, enumerate_cycle
 from .probes import UsageError
-
-CSV_COLUMNS = [
-    "counter",
-    "dim",
-    "params",
-    "length",
-    "closed",
-    "distinct",
-    "space_efficiency",
-    "avg_reads",
-    "worst_reads",
-    "avg_writes",
-    "worst_writes",
-    "max_hamming",
-]
 
 TABLE1_DIMS = list(range(2, 11))
 TABLE1_COMPOSITES = [((6, 3), "rpgc"), ((10, 3, 2), "rpgc")]
@@ -48,7 +33,7 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def csv_text(rows: Sequence[Dict[str, object]], columns: Optional[List[str]] = None) -> str:
+def csv_text(rows: Sequence[Dict[str, object]], columns: Optional[Sequence[str]] = None) -> str:
     columns = columns or CSV_COLUMNS
     # a line that is one empty field would have to be written as ""
     if len(columns) < 2:
@@ -83,11 +68,11 @@ def build_table1_rows(
 ) -> Tuple[List[str], List[Dict[str, object]]]:
     """Rows for the desk-scale summary table: measured metrics side by side
     with the documented bounds for each counter family."""
-    columns = CSV_COLUMNS + list(TABLE_COLUMNS)
+    columns = [*CSV_COLUMNS, *TABLE_COLUMNS]
     rows: List[Dict[str, object]] = []
 
     def add(counter, inner_avg: Optional[Fraction] = None) -> None:
-        row = flatten_report(enumerate_cycle(counter, cap))
+        row = collect_metrics(enumerate_cycle(counter, cap))
         row.update(table_bounds(counter, inner_avg))
         rows.append(row)
 

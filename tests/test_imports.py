@@ -39,6 +39,49 @@ def test_the_guard_sees_an_unused_import(tmp_path):
     assert _unused_imports(module) == {"mul"}
 
 
+def _unreferenced_private_names(paths):
+    """The module-level ``_private`` names that ``paths`` define, as
+    ``(file name, name)``, that no code among them loads, reads as an
+    attribute or imports."""
+    defined = set()
+    used = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((path.name, n) for n in names if n[:1] == "_" and n[:2] != "__")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return {(file, name) for file, name in defined if name not in used}
+
+
+def test_every_private_name_is_used():
+    assert _unreferenced_private_names(MODULES) == set()
+
+
+def test_the_guard_sees_an_unused_private_name(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text(
+        "_N = 1\n_M, _T = 2, 3\n\n"
+        "def _used():\n    return _N\n\n"
+        "def _dead():\n    _local = 4\n    return _local\n\n"
+        "class _Box:\n    _slot = 5\n"
+    )
+    b.write_text("from a import _used, _Box\n\n_used(_Box._slot)\nprint(obj._M)\n")
+    assert _unreferenced_private_names([a, b]) == {("a.py", "_T"), ("a.py", "_dead")}
+
+
 # the one loop that steps a counter and the one that replays its report
 STEPPERS = {"enumerate_cycle", "CycleReport.replay"}
 
