@@ -40,11 +40,6 @@ def _gray_rank(gray: int) -> int:
     return gray
 
 
-def _rank_range(state: BitState, off: int, n: int) -> int:
-    # the untracked oracle: the one place a counter module reads bits directly
-    return _gray_rank((state.value >> off) & ((1 << n) - 1))
-
-
 def brgc_next(state: BitState, ledger: ProbeLedger) -> None:
     """Advance one step in the cyclic BRGC (reads dim bits, writes 1)."""
     _step_range(state, ledger, 0, state.dim, True)
@@ -57,7 +52,8 @@ def brgc_prev(state: BitState, ledger: ProbeLedger) -> None:
 
 def brgc_rank(state: BitState) -> int:
     """Position of the state in the BRGC cycle that starts at all zeros."""
-    return _rank_range(state, 0, state.dim)
+    # the untracked oracle: the one place a counter module reads bits directly
+    return _gray_rank(state.value)
 
 
 def brgc_unrank(r: int, dim: int) -> BitState:

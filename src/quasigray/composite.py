@@ -20,11 +20,24 @@ from typing import List, Sequence, Tuple
 
 from . import brgc, rpgc
 from .logmath import iterated_log_at_least, log_star
-from .probes import BitState, CounterSpec, ProbeLedger, UsageError, field_is_zero
+from .probes import BitState, CounterSpec, ProbeLedger, UsageError, field_is_zero, increment_field
 
 # the Gray sub-code kinds a layer or a lazy sub-field may use, each mapped
 # to its step on a bit range: (state, ledger, offset, width, forward)
 GRAY_STEPS = {"rpgc": rpgc._step, "brgc": brgc._step_range}
+
+
+def step_field(
+    kind: str, state: BitState, ledger: ProbeLedger, off: int, width: int, wrap: bool = True
+) -> bool:
+    """Step a field forward in its code, binary or a Gray kind; True when
+    it wrapped to all zeros. A binary step knows that for free. A Gray step
+    learns it from a zero test from bit ``off`` upward, which may read new
+    bits, so it is taken only when ``wrap``."""
+    if kind == "binary":
+        return increment_field(state, ledger, off, width)
+    GRAY_STEPS[kind](state, ledger, off, width, True)
+    return wrap and field_is_zero(state, ledger, off, width)
 
 
 class PreconditionError(Exception):
@@ -72,18 +85,14 @@ class LayerPlan:
 
 def composite_step(plan: LayerPlan, state: BitState, ledger: ProbeLedger) -> None:
     """Advance the outermost layer; each layer that lands on all zeros
-    advances the next layer in. The wrap test scans the layer from its
-    bit 0 upward; bits the advance just touched are free."""
+    advances the next layer in. The innermost layer takes no wrap test;
+    bits a step just touched are free to the test that follows it."""
     if state.dim != plan.total_dim:
         raise UsageError(f"state dim {state.dim} != plan dim {plan.total_dim}")
-    idx = len(plan.layers) - 1
-    while True:
+    for idx in reversed(range(len(plan.layers))):
         lay = plan.layers[idx]
-        off = plan.offsets[idx]
-        GRAY_STEPS[lay.kind](state, ledger, off, lay.dim, True)
-        if idx == 0 or not field_is_zero(state, ledger, off, lay.dim):
+        if not step_field(lay.kind, state, ledger, plan.offsets[idx], lay.dim, idx > 0):
             return
-        idx -= 1
 
 
 def build_layered(dims: Sequence[int], inner_kind: str = "rpgc") -> LayerPlan:
@@ -91,8 +100,6 @@ def build_layered(dims: Sequence[int], inner_kind: str = "rpgc") -> LayerPlan:
     are always RPGC; ``inner_kind`` selects the innermost code."""
     if not dims:
         raise UsageError("dims must be non-empty")
-    if inner_kind not in GRAY_STEPS:
-        raise UsageError(f"inner kind must be one of {tuple(GRAY_STEPS)}, got {inner_kind!r}")
     layers = [Layer(inner_kind, dims[0])]
     layers.extend(Layer("rpgc", d) for d in dims[1:])
     return LayerPlan(layers)

@@ -29,16 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 from . import brgc, rpgc
-from .composite import GRAY_STEPS
+from .composite import GRAY_STEPS, step_field
 from .logmath import is_power_of_two
-from .probes import (
-    BitState,
-    CounterSpec,
-    ProbeLedger,
-    UsageError,
-    field_is_zero,
-    increment_field,
-)
+from .probes import BitState, CounterSpec, ProbeLedger, UsageError
 
 ENCODINGS = ("binary", *sorted(GRAY_STEPS))
 
@@ -115,18 +108,6 @@ def _rpgc_rank_table(width: int) -> dict:
     return table
 
 
-def _forward(
-    kind: str, state: BitState, ledger: ProbeLedger, off: int, width: int, wrap: bool = True
-) -> bool:
-    """Step a field forward in its code; True when it wrapped to all zeros.
-    A binary step knows that for free. A Gray step learns it from a zero
-    test, which may read new bits, so it is taken only when ``wrap``."""
-    if kind == "binary":
-        return increment_field(state, ledger, off, width)
-    GRAY_STEPS[kind](state, ledger, off, width, True)
-    return wrap and field_is_zero(state, ledger, off, width)
-
-
 def lazy_step(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> None:
     """One step of every lazy counter. While k is below its maximal state,
     i spins: it steps forward, and k steps when i wraps. At k's maximum
@@ -138,28 +119,29 @@ def lazy_step(layout: LazyLayout, state: BitState, ledger: ProbeLedger) -> None:
     i_off, width, k_off, g = layout.i_offset, layout.width, layout.k_offset, layout.g
     top = _max_state(kind, g)
     # k is read from bit 0 up to the first bit that differs from its maximum
-    if ledger.read_run(state, k_off, g, top) != top:
-        if _forward(kind, state, ledger, i_off, width):
-            _forward(kind, state, ledger, k_off, g, False)
-        return
-    pos = _rank(kind, state, ledger, i_off, width)
-    if ledger.read(state, pos):
-        ledger.write(state, pos, 0)
-        if not _forward(kind, state, ledger, i_off, width):
+    if ledger.read_run(state, k_off, g, top) == top:
+        pos = _rank(kind, state, ledger, i_off, width)
+        if not ledger.read(state, pos):
+            ledger.write(state, pos, 1)
+            if kind == "binary":
+                while pos:
+                    low = pos & -pos
+                    ledger.write(state, i_off + low.bit_length() - 1, 0)
+                    pos ^= low
+            if g:
+                step_field(kind, state, ledger, k_off, g, False)
             return
-    else:
-        ledger.write(state, pos, 1)
-        if kind == "binary":
-            while pos:
-                low = pos & -pos
-                ledger.write(state, i_off + low.bit_length() - 1, 0)
-                pos ^= low
-    # from its maximum, k's step reads nothing new and writes back to 0
-    if g:
-        _forward(kind, state, ledger, k_off, g)
+        ledger.write(state, pos, 0)
+    # i steps, and k steps when i wraps. No k step takes a zero test: its
+    # result goes unused, and from k's maximum it would read only bits that
+    # the scan of k above already read
+    if step_field(kind, state, ledger, i_off, width) and g:
+        step_field(kind, state, ledger, k_off, g, False)
 
 
-def _lazy_counter(name: str, layout: LazyLayout, claimed_c: int) -> CounterSpec:
+def _lazy_counter(name: str, layout: LazyLayout) -> CounterSpec:
+    # a Gray i and k cap a step's writes at 3; binary ones write up to all of
+    # i and k and one payload bit
     return CounterSpec(
         name=name,
         dim=layout.dim,
@@ -167,25 +149,23 @@ def _lazy_counter(name: str, layout: LazyLayout, claimed_c: int) -> CounterSpec:
         params={"encoding": layout.encoding, "g": layout.g, "n": layout.n},
         initial=BitState.zeros(layout.dim),
         advance=partial(lazy_step, layout),
-        claimed_c=claimed_c,
+        claimed_c=layout.g + layout.width + 1 if layout.encoding == "binary" else 3,
     )
 
 
 def make_lazy_counter(n: int) -> CounterSpec:
-    layout = LazyLayout(n, 0)
-    return _lazy_counter("lazy", layout, layout.width + 1)
+    return _lazy_counter("lazy", LazyLayout(n, 0))
 
 
 def make_spin_counter(n: int) -> CounterSpec:
-    layout = LazyLayout(n, 1)
-    return _lazy_counter("spin", layout, layout.width + 2)
+    return _lazy_counter("spin", LazyLayout(n, 1))
 
 
 def make_doublespin_counter(n: int, g: int) -> CounterSpec:
     layout = LazyLayout(n, g)
     if g < 1:
         raise UsageError("doublespin counters need g >= 1")
-    return _lazy_counter("doublespin", layout, g + layout.width + 1)
+    return _lazy_counter("doublespin", layout)
 
 
 def make_wine_counter(n: int, g: int, encoding: str = "brgc") -> CounterSpec:
@@ -194,4 +174,4 @@ def make_wine_counter(n: int, g: int, encoding: str = "brgc") -> CounterSpec:
         raise UsageError("wine counters need a Gray sub-code encoding")
     if g < 1:
         raise UsageError("wine counters need g >= 1")
-    return _lazy_counter("wine", layout, 3)
+    return _lazy_counter("wine", layout)

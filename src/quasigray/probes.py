@@ -106,13 +106,15 @@ class ProbeLedger:
     a position costs one write. ``close_step`` folds the step into the
     running totals and maxima.
 
-    Besides single reads and writes, three scans each charge, return and
-    raise exactly what their loop of :meth:`read` would, in one call:
+    Besides single reads and writes, three scans each charge and return
+    exactly what their loop of :meth:`read` would, in one call:
     :meth:`read_run` reads a run of positions, :meth:`read_pairs` compares
     two runs pair by pair, and :meth:`read_zip` tests two runs, zipped, for
     wanted bits. Each reads in a fixed order and ends right after the first
-    bit that is not as wanted. A scan that reads nothing, finds no open
-    step or leaves the state runs its loop of :meth:`read` itself.
+    bit that is not as wanted. A scan of no positions reads nothing and
+    returns what its loop would. A scan that finds no open step, has a
+    negative width or leaves the state raises :class:`UsageError` and
+    charges nothing.
     """
 
     __slots__ = (
@@ -160,14 +162,7 @@ class ProbeLedger:
         Returns the bits read as an int with bit ``off`` lowest.
         """
         if width <= 0 or not self._open or off < 0 or off + width > state.dim:
-            # a scan that raises, or reads nothing, is its loop
-            run = 0
-            for j in range(width):
-                bit = self.read(state, off + j)
-                run |= bit << j
-                if want is not None and bit != (want >> j) & 1:
-                    break
-            return run
+            return self._refuse(state, width, 0, off)
         mask = (1 << width) - 1
         run = (state.value >> off) & mask
         if want is not None:
@@ -185,11 +180,7 @@ class ProbeLedger:
         index, or ``n`` when all ``n`` pairs are equal."""
         dim = state.dim
         if n <= 0 or not self._open or a < 0 or b < 0 or a + n > dim or b + n > dim:
-            # a scan that raises, or reads nothing, is its loop
-            for i in range(n):
-                if self.read(state, a + i) != self.read(state, b + i):
-                    return i
-            return n
+            return self._refuse(state, n, 0, a, b)
         value = state.value
         mask = (1 << n) - 1
         diff = ((value >> a) ^ (value >> b)) & mask
@@ -208,13 +199,7 @@ class ProbeLedger:
         when all ``2n`` bits are as wanted."""
         dim = state.dim
         if n <= 0 or not self._open or a < 0 or b < 0 or a + n > dim or b + n > dim:
-            # a scan that raises, or reads nothing, is its loop
-            for i in range(n):
-                if self.read(state, a + i) != (want_a >> i) & 1:
-                    return False
-                if self.read(state, b + i) != (want_b >> i) & 1:
-                    return False
-            return True
+            return self._refuse(state, n, True, a, b)
         value = state.value
         mask = (1 << n) - 1
         # bit n stands for "no miss", so each lowest bit is the run's end
@@ -230,6 +215,18 @@ class ProbeLedger:
             mask_a = mask_b = (low_b << 1) - 1
         self.rmask |= ((mask_a << a) | (mask_b << b)) & ~self.wmask
         return low_a == low_b > mask
+
+    def _refuse(self, state: BitState, n: int, empty, *offs: int):
+        """The end of a scan its guard kept off the mask path: a scan of
+        no positions returns ``empty``, its loop's result; any other
+        raises before it charges anything."""
+        # the zero-width test comes first: it is the one case counters make
+        if not n:
+            return empty
+        if not self._open:
+            raise UsageError("no open step")
+        at = " and ".join(map(str, offs))
+        raise UsageError(f"a scan of width {n} at {at} must lie inside dim {state.dim}")
 
     def write(self, state: BitState, pos: int, val: int) -> None:
         """Tracked write; blind (does not charge a read)."""

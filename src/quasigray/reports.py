@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bounds import TABLE_COLUMNS, table_bounds
 from .counters import make_counter
@@ -38,19 +38,31 @@ def csv_text(rows: Sequence[Dict[str, object]], columns: Optional[Sequence[str]]
     # a line that is one empty field would have to be written as ""
     if len(columns) < 2:
         raise UsageError(f"csv_text needs at least two columns, got {len(columns)}")
-    lines = [columns] + [[_cell(row.get(col, "")) for col in columns] for row in rows]
+    # a row's cells are made as its line is, so no table's cells are all held at once
+    cells = ([_cell(row.get(col, "")) for col in columns] for row in rows)
+    lines = itertools.chain([columns], cells)
     return "".join(",".join(map(_csv_field, line)) + "\n" for line in lines)
 
 
-def json_chunks(payload: object) -> Iterator[str]:
+def json_chunks(payload: object, default: Optional[Callable] = None) -> Iterator[str]:
     """The text of ``json_text`` in pieces of up to 128 encoder tokens.
     ``json.dumps`` with an indent keeps every token as a string of its own
     until it joins them, several times the size of the text; a caller that
-    writes the pieces as they come holds one piece at a time."""
-    tokens = json.JSONEncoder(indent=2).iterencode(payload)
+    writes the pieces as they come holds one piece at a time. ``default``
+    is the encoder's hook for an object JSON has no form for."""
+    tokens = json.JSONEncoder(indent=2, default=default).iterencode(payload)
     while piece := "".join(itertools.islice(tokens, 128)):
         yield piece
     yield "\n"
+
+
+def json_rows_chunks(rows: List[Dict[str, object]]) -> Iterator[str]:
+    """The text of ``json_text(rows)``, emptying ``rows`` as it is written:
+    the encoder meets a placeholder for each row and only then takes the row
+    from the list, so a row is freed once written and a table is never held
+    beside all of its text."""
+    rows.reverse()
+    return json_chunks([object()] * len(rows), lambda _: rows.pop())
 
 
 def json_text(payload: object) -> str:

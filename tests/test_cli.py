@@ -1,9 +1,13 @@
+import contextlib
+import gc
+import io
 import json
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from quasigray import cli
 from quasigray.cli import run_cli
 from quasigray.reports import CSV_COLUMNS
 
@@ -186,6 +190,42 @@ def test_a_sweep_past_the_dimension_bound_exits_2_before_expanding(capsys):
     assert "goes past 1048576" in capsys.readouterr().err
     # so is the count of values the ranges add up to
     assert run_cli("bench --counter brgc --dims 2,1-1048576 --cap 1".split()) == 2
+
+
+def test_a_call_frees_its_parser_before_the_command_runs(monkeypatch, capsys):
+    found = []
+    monkeypatch.setattr(cli, "_cmd_list", lambda args: found.append(gc.collect()) or 0)
+    gc.collect()
+    assert run_cli(["list"]) == 0
+    # enter where the next collection takes the young generations into the
+    # old one: a build that started from there without a collection would
+    # move about 200 of the parser's objects where a young one misses them
+    gc.collect()
+    junk = []
+    while gc.get_count()[1] <= gc.get_threshold()[1]:
+        junk.append([])
+    while gc.get_count()[0] < gc.get_threshold()[0] // 2:
+        junk.append([])
+    assert run_cli(["list"]) == 0
+    # the parser's reference cycles were collected after the parse
+    assert found == [0, 0]
+
+
+def test_repeated_calls_hold_the_same_memory():
+    # a call frees its own parser, so its peak does not depend on when the
+    # collector last ran; when it did, one command's peak moved by about
+    # 10 KiB from one call to the next
+    argv = ["cycle", "--counter", "rpgc", "--dim", "6", "--emit", "json"]
+    peaks = []
+    for _ in range(8):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[1:]) - min(peaks[1:]) < 4096, peaks
 
 
 def test_env_cap_override(monkeypatch, capsys):

@@ -36,7 +36,7 @@ from quasigray.harness import (
     standard_binary_step,
 )
 from quasigray.probes import increment_field
-from quasigray.reports import CSV_COLUMNS, csv_text, json_chunks, json_text
+from quasigray.reports import CSV_COLUMNS, csv_text, json_chunks, json_rows_chunks, json_text
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -242,6 +242,23 @@ def test_json_chunks_are_json_dumps_in_pieces():
     assert json_text([]) == "[]\n"
 
 
+def test_json_rows_chunks_take_each_row_out_once_written():
+    text = json.loads(GOLDEN.read_text(encoding="utf-8"))["table1"]["json"]
+    rows = json.loads(text)
+    total, left, pieces = len(rows), [], []
+    for piece in json_rows_chunks(rows):
+        pieces.append(piece)
+        left.append(len(rows))
+    assert "".join(pieces) == text
+    # the list empties as the text is written, never ahead of it
+    assert left == sorted(left, reverse=True) and left[-1] == 0
+    assert 0 < left[0] < total and len(set(left)) > 10
+    assert "".join(json_rows_chunks([])) == "[]\n"
+    assert "".join(json_rows_chunks([{"a": [1, {"b": "x\ny"}]}, {}])) == json_text(
+        [{"a": [1, {"b": "x\ny"}]}, {}]
+    )
+
+
 def test_metrics_row_tolerates_unclosed_reports():
     # a run the cap cut short flattens like a closed one; only verification
     # and the bound checks need a closed report
@@ -333,6 +350,16 @@ SPACE_OPTIMAL = ("binary", "brgc", "rpgc", "composite")
 def _grid_id(config):
     name, kw = config
     return name + "-" + "-".join(f"{k}={v}" for k, v in sorted(kw.items()))
+
+
+@pytest.mark.parametrize(
+    "config", SWEEP_GRID + [("composite", dict(layers=(6, 4, 2)))], ids=_grid_id
+)
+def test_write_claim_is_the_catalogued_write_bound(config):
+    counter = make_counter(config[0], **config[1])
+    bounds = {b.kind: b.value for b in paper_bounds(counter)}
+    assert counter.claimed_c == bounds["worst_writes_le"]
+    assert counter.claimed_c == bounds.get("hamming_le", counter.claimed_c)
 
 
 def _start_states(name, counter):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasigray import BitState, ProbeLedger, UsageError
-from quasigray import brgc, composite, lazy, rpgc
+from quasigray import brgc, composite, lazy, probes, rpgc
 from quasigray.probes import MAX_DIM
 
 
@@ -188,30 +188,40 @@ def _loop_of_zip(state, ledger, a, b, n, want_a, want_b):
     return True
 
 
-def _outcome(call, state, ledger, *args):
+def _prepared(case):
+    """A state with the case's bits, and a ledger whose open step has
+    already made the case's reads and writes."""
+    dim, bits, reads, writes = case
+    state = BitState(dim, bits)
+    ledger = ProbeLedger()
+    ledger.open_step()
+    for pos in reads:
+        ledger.read(state, pos)
+    for pos, val in writes:
+        ledger.write(state, pos, val)
+    return state, ledger
+
+
+def _outcome(call, case, *args):
+    state, ledger = _prepared(case)
     try:
         result = call(state, ledger, *args)
-    except UsageError as exc:
-        result = ("UsageError", str(exc))
+    except UsageError:
+        result = UsageError
     return result, ledger.rmask, ledger.wmask, state.value
 
 
-def _same_as_the_loop(loop, scan, case, *args):
-    """Run ``loop`` and the ledger method named ``scan`` on equal states,
-    each in a step that has already made the case's reads and writes, and
-    compare the outcomes."""
-    dim, bits, reads, writes = case
-    outcomes = []
-    for call in (loop, lambda s, led, *args: getattr(led, scan)(s, *args)):
-        state = BitState(dim, bits)
-        ledger = ProbeLedger()
-        ledger.open_step()
-        for pos in reads:
-            ledger.read(state, pos)
-        for pos, val in writes:
-            ledger.write(state, pos, val)
-        outcomes.append(_outcome(call, state, ledger, *args))
-    assert outcomes[1] == outcomes[0]
+def _same_as_the_loop(loop, scan, case, n, starts, *args):
+    """Run the ledger method named ``scan`` on a prepared case and compare
+    its outcome with its ``loop`` of read when each of its runs, of ``n``
+    positions from each of ``starts``, is empty or inside the state.
+    Otherwise the scan must raise and leave the masks and state as they
+    were."""
+    outcome = _outcome(lambda s, led, *a: getattr(led, scan)(s, *a), case, *args)
+    if n == 0 or n > 0 and all(0 <= start <= case[0] - n for start in starts):
+        assert outcome == _outcome(loop, case, *args)
+    else:
+        assert outcome == _outcome(lambda s, led: UsageError, case)
 
 
 @st.composite
@@ -257,7 +267,7 @@ def _run_cases(draw):
 @given(_run_cases())
 def test_read_run_charges_like_the_loop_of_read(case):
     step, off, width, want = case
-    _same_as_the_loop(_loop_of_read, "read_run", step, off, width, want)
+    _same_as_the_loop(_loop_of_read, "read_run", step, width, [off], off, width, want)
 
 
 @st.composite
@@ -284,14 +294,14 @@ def _pair_cases(draw):
 @given(_pair_cases())
 def test_read_pairs_charges_like_the_loop_of_read(case):
     step, a, b, n, _, _ = case
-    _same_as_the_loop(_loop_of_pairs, "read_pairs", step, a, b, n)
+    _same_as_the_loop(_loop_of_pairs, "read_pairs", step, n, [a, b], a, b, n)
 
 
 @settings(max_examples=1000)
 @given(_pair_cases())
 def test_read_zip_charges_like_the_loop_of_read(case):
     step, a, b, n, want_a, want_b = case
-    _same_as_the_loop(_loop_of_zip, "read_zip", step, a, b, n, want_a, want_b)
+    _same_as_the_loop(_loop_of_zip, "read_zip", step, n, [a, b], a, b, n, want_a, want_b)
 
 
 def test_read_run_outside_a_step_is_a_usage_error():
@@ -307,13 +317,34 @@ def test_read_run_outside_a_step_is_a_usage_error():
     assert ledger.rmask == 0
 
 
+@pytest.mark.parametrize(
+    "scan",
+    [
+        # each loop of read would stop inside the state, at bit dim - 2 or 0
+        lambda led, s: led.read_run(s, s.dim - 2, 5, 0),
+        lambda led, s: led.read_pairs(s, 0, s.dim - 1, 3),
+        lambda led, s: led.read_zip(s, 0, s.dim - 1, 3, 0, 0),
+        lambda led, s: led.read_run(s, 0, -1),
+        lambda led, s: led.read_pairs(s, 0, 1, -2),
+    ],
+    ids=["run", "pairs", "zip", "negative-run", "negative-pairs"],
+)
+def test_a_scan_that_leaves_the_state_raises_and_charges_nothing(scan):
+    state = BitState.from_text("01011")
+    ledger = ProbeLedger()
+    ledger.open_step()
+    with pytest.raises(UsageError):
+        scan(ledger, state)
+    assert (ledger.rmask, ledger.wmask, state.value) == (0, 0, 0b01011)
+
+
 # Step code reaches a state's bits only through the ledger. These are the
 # attributes of BitState that expose its bits in bulk, and the only places in
 # the counter modules allowed to use them: brgc's untracked rank oracle, and
 # the rank table lazy builds, under its own ledger, for an rpgc pointer.
 BULK_VIEWS = {"value", "bits", "to_text", "copy"}
 BULK_VIEW_ALLOWED = {
-    ("brgc", "_rank_range", "value"),
+    ("brgc", "brgc_rank", "value"),
     ("lazy", "_rpgc_rank_table", "value"),
 }
 
@@ -371,3 +402,37 @@ def test_counter_modules_never_read_bit_by_bit_in_a_loop():
     for module in (brgc, rpgc, lazy, composite):
         found |= _reads_in_loops(module)
     assert found == set()
+
+
+def _ledger_methods_calling_read(path):
+    """The methods of ``ProbeLedger`` in ``path`` that call ``self.read``."""
+    tree = ast.parse(Path(path).read_text())
+    ledger = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ProbeLedger")
+    return {
+        method.name
+        for method in ledger.body
+        if isinstance(method, ast.FunctionDef)
+        for call in ast.walk(method)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "read"
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "self"
+    }
+
+
+def test_no_scan_falls_back_to_read():
+    # a scan refuses what its mask path does not take; it never loops on read
+    assert _ledger_methods_calling_read(probes.__file__) <= {"read"}
+
+
+def test_the_guard_sees_a_scan_that_calls_read(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class ProbeLedger:\n"
+        "    def read(self, state, pos):\n"
+        "        return 0\n\n"
+        "    def read_run(self, state, off, width):\n"
+        "        return [self.read(state, off + j) for j in range(width)]\n"
+    )
+    assert _ledger_methods_calling_read(module) == {"read_run"}

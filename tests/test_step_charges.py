@@ -4,9 +4,10 @@ Each digest covers, for every state of the given dimensions, the step's
 read set, write set and next state, plus the name of any error it raised.
 The Gray code values were taken from the hand-written increment/decrement
 and successor/predecessor pairs that the direction-parameterised steps
-replaced, and the lazy family's from its four hand-written step functions
-(lazy, spin, doublespin and wine). Any change to a read order, a charge or a
-transition shows here.
+replaced, the lazy family's from its four hand-written step functions
+(lazy, spin, doublespin and wine), and the composite plans' from the step
+that tested each layer for a wrap inline. Any change to a read order, a
+charge or a transition shows here.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 from quasigray import BitState, ProbeLedger
 from quasigray.brgc import brgc_next, brgc_prev
+from quasigray.composite import build_layered, make_composite_counter
 from quasigray.lazy import (
     make_doublespin_counter,
     make_lazy_counter,
@@ -126,3 +128,19 @@ def test_lazy_family_charges_match_the_pinned_digest(layout):
     make, args = layout
     counter = make(*args)
     assert charge_digest(counter.advance, [counter.dim]) == LAZY_DIGESTS[_layout_id(layout)]
+
+
+COMPOSITE_DIGESTS = {
+    "6-3-rpgc": "478701f5bf8c237865eb17058ed2d839af83684f6b8c0b1436efcd3634106834",
+    "7-3-2-rpgc": "ff83db86a39a30563a9df058f008a1c3348c80395eac83156638be133e4e277a",
+    "2-3-3-4-rpgc": "09a3f357e242deb118ae5fe8f568ce4edfc767557133391e670cafd4fffed36f",
+    "6-4-2-rpgc": "ffd23205f650b4d8f8220d2b97dea789ba271d94b66182660658eb7be26a7646",
+    "4-4-brgc": "100bc28aff9137169a88e3207e61a64deff33ffa9d3dd5d1619e5f695397379b",
+}
+
+
+@pytest.mark.parametrize("plan", COMPOSITE_DIGESTS)
+def test_composite_charges_match_the_pinned_digest(plan):
+    *dims, inner = plan.split("-")
+    counter = make_composite_counter(build_layered([int(d) for d in dims], inner))
+    assert charge_digest(counter.advance, [counter.dim]) == COMPOSITE_DIGESTS[plan]
