@@ -11,13 +11,15 @@ The ledger keeps a step's charges as two int masks, one bit per position,
 which are its only record of them, and counts them with ``bit_count``.
 Besides single reads, it scans a run of positions (``read_run``), two runs
 pair by pair (``read_pairs``) and two runs zipped (``read_zip``), each in
-one call, under the one contract :class:`ProbeLedger` states.
+one call, under the one contract :class:`ProbeLedger` states. A fourth
+scan, ``read_table``, serves a whole small call of a step function from a
+table that running the call itself fills.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, MutableSequence, Optional, Sequence, Tuple
 
 
 class UsageError(ValueError):
@@ -106,15 +108,16 @@ class ProbeLedger:
     a position costs one write. ``close_step`` folds the step into the
     running totals and maxima.
 
-    Besides single reads and writes, three scans each charge and return
+    Besides single reads and writes, four scans each charge and return
     exactly what their loop of :meth:`read` would, in one call:
     :meth:`read_run` reads a run of positions, :meth:`read_pairs` compares
     two runs pair by pair, and :meth:`read_zip` tests two runs, zipped, for
     wanted bits. Each reads in a fixed order and ends right after the first
-    bit that is not as wanted. A scan of no positions reads nothing and
-    returns what its loop would. A scan that finds no open step, has a
-    negative width or leaves the state raises :class:`UsageError` and
-    charges nothing.
+    bit that is not as wanted. :meth:`read_table` stands for a whole call
+    of a step function on one or two short runs, its writes included. A
+    scan of no positions reads nothing and returns what its loop would. A
+    scan that finds no open step, has a negative width or leaves the state
+    raises :class:`UsageError` and charges nothing.
     """
 
     __slots__ = (
@@ -216,6 +219,61 @@ class ProbeLedger:
         self.rmask |= ((mask_a << a) | (mask_b << b)) & ~self.wmask
         return low_a == low_b > mask
 
+    def read_table(
+        self,
+        state: BitState,
+        off: int,
+        n: int,
+        table: MutableSequence[int],
+        call: Callable[[BitState, "ProbeLedger"], object],
+        off_b: Optional[int] = None,
+    ) -> bool:
+        """One call of a step function on the ``n`` bits from ``off``, and
+        the ``n`` from ``off_b`` when given, served from ``table``: charges
+        the call's reads, flips the bits it writes and returns whether its
+        result is true, exactly as the call would.
+
+        ``table`` holds one packed entry per value of the call's bits, those
+        from ``off`` lowest: the call's read mask, then its result, then its
+        write mask. An entry of 0 is not filled yet; it is filled by running
+        ``call(sub, ledger)`` under a fresh ledger on a fresh state ``sub``
+        that holds the call's runs alone, from bit 0 (and bit ``n``). This
+        is exact for a call whose reads, writes and result depend only on
+        the bits of its runs and which flips every bit it writes: a bit
+        written earlier in the step stays free to read, as it would be.
+        """
+        dim = state.dim
+        if (
+            n <= 0
+            or not self._open
+            or off < 0
+            or off + n > dim
+            or off_b is not None
+            and (off_b < 0 or off_b + n > dim)
+        ):
+            return self._refuse(state, n, False, *(off,) if off_b is None else (off, off_b))
+        value = state.value
+        mask = (1 << n) - 1
+        index = (value >> off) & mask
+        if off_b is None:
+            # one run: the entry's masks have no bits past n to place at off_b
+            off_b = off
+            width = n
+        else:
+            index |= ((value >> off_b) & mask) << n
+            width = n << 1
+        entry = table[index]
+        if not entry:
+            entry = table[index] = _table_entry(call, index, width)
+        reads = entry & ((1 << width) - 1)
+        self.rmask |= ((reads & mask) << off | (reads >> n) << off_b) & ~self.wmask
+        flips = entry >> (width + 1)
+        if flips:
+            flips = (flips & mask) << off | (flips >> n) << off_b
+            self.wmask |= flips
+            state.value = value ^ flips
+        return entry >> width & 1 == 1
+
     def _refuse(self, state: BitState, n: int, empty, *offs: int):
         """The end of a scan its guard kept off the mask path: a scan of
         no positions returns ``empty``, its loop's result; any other
@@ -260,6 +318,18 @@ class ProbeLedger:
         self.steps += 1
         self._open = False
         return r, w
+
+
+def _table_entry(call: Callable[[BitState, ProbeLedger], object], index: int, width: int) -> int:
+    """The packed :meth:`ProbeLedger.read_table` entry of ``call`` on a
+    state of ``width`` bits that holds ``index``."""
+    sub = BitState.from_int(index, width)
+    ledger = ProbeLedger()
+    ledger.open_step()
+    result = call(sub, ledger)
+    if sub.value ^ index != ledger.wmask:
+        raise UsageError("a call served from a table must flip every bit it writes")
+    return ledger.rmask | (1 if result else 0) << width | ledger.wmask << (width + 1)
 
 
 # Tracked operations on a field of ``width`` bits starting at ``off``; each

@@ -26,11 +26,23 @@ Each of these scans is one ledger call with the charges of its loop of
 single reads, ending right after the first bit that is not as wanted:
 ``read_pairs`` for an equality comparison, ``read_zip`` for the
 maximum-state test and the quarter zigzag, and a zero test (``read_run``
-wanting zeros) for each half of W's first half. A step therefore makes
-O(log d) ledger calls, however many bits it reads.
+wanting zeros) for each half of W's first half.
+
+A call of ``_step`` or ``_compare_inc`` on at most ``_W0`` = 6 bits is one
+more ledger call, ``read_table``. Its reads, its one flip or its result
+depend only on the bits of its runs, so a table indexed by those bits can
+stand for it. Each entry is filled on first use by running the plain call,
+whose own small calls use the smaller tables. A step therefore makes
+O(log^2 d) ledger calls, however many bits it reads: each of the log d
+levels of the recursion may compare O(log d) levels of halves, and every
+level below 6 bits is a single call.
 """
 
 from __future__ import annotations
+
+from array import array
+from functools import lru_cache, partial
+from typing import Callable, Tuple
 
 from .probes import BitState, CounterSpec, ProbeLedger, field_is_zero
 
@@ -58,8 +70,33 @@ def _is_min(s: BitState, led: ProbeLedger, off: int, n: int) -> bool:
     return field_is_zero(s, led, off + q, h - q) and field_is_zero(s, led, off, q)
 
 
+# Calls of _step and _compare_inc on at most _W0 bits are served from tables
+# through ProbeLedger.read_table, each table built on first use. An entry
+# packs 13 bits at most, so an unsigned short holds it: a step's _W0 read
+# bits, a result bit and _W0 flip bits, or a comparison's 2 * _W0 read bits
+# and its result bit.
+_W0 = 6
+
+
+@lru_cache(maxsize=None)
+def _step_table(n: int, up: bool) -> Tuple[array, Callable]:
+    return array("H", bytes(2 << n)), partial(_plain_step, off=0, n=n, up=up)
+
+
+@lru_cache(maxsize=None)
+def _compare_table(n: int) -> Tuple[array, Callable]:
+    return array("H", bytes(2 << 2 * n)), partial(_plain_compare_inc, off_a=0, off_b=n, n=n)
+
+
 def _compare_inc(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) -> bool:
     """True iff A equals the successor of B."""
+    if n <= _W0:
+        table, fill = _compare_table(n)
+        return led.read_table(s, off_a, n, table, fill, off_b)
+    return _plain_compare_inc(s, led, off_a, off_b, n)
+
+
+def _plain_compare_inc(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) -> bool:
     if n == 1:
         return led.read(s, off_a) != led.read(s, off_b)
     if n & 1 == 0:
@@ -90,8 +127,17 @@ def _compare_inc(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) 
 
 def _step(s: BitState, led: ProbeLedger, off: int, n: int, up: bool) -> None:
     """One step of the code on bits [off, off + n): forward when ``up``,
-    backward otherwise. Each rule's mirror swaps the roles of the extreme
-    states (odd n) or of the two comparisons (even n)."""
+    backward otherwise."""
+    if n <= _W0:
+        table, fill = _step_table(n, up)
+        led.read_table(s, off, n, table, fill)
+    else:
+        _plain_step(s, led, off, n, up)
+
+
+def _plain_step(s: BitState, led: ProbeLedger, off: int, n: int, up: bool) -> None:
+    # each rule's mirror swaps the roles of the extreme states (odd n) or of
+    # the two comparisons (even n)
     if n == 1:
         led.write(s, off, led.read(s, off) ^ 1)
         return

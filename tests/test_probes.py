@@ -1,4 +1,5 @@
 import ast
+from array import array
 from pathlib import Path
 
 import pytest
@@ -304,6 +305,63 @@ def test_read_zip_charges_like_the_loop_of_read(case):
     _same_as_the_loop(_loop_of_zip, "read_zip", step, n, [a, b], a, b, n, want_a, want_b)
 
 
+def _empty_table(width):
+    """A table with no entry filled, for a call on ``width`` bits."""
+    return array("H", bytes(2 << width))
+
+
+def _low_flips_high(sub, ledger):
+    """A call that reads bit 0 and, when it is set, flips bit 1 and
+    returns True."""
+    if not ledger.read(sub, 0):
+        return False
+    ledger.write(sub, 1, ledger.read(sub, 1) ^ 1)
+    return True
+
+
+@pytest.mark.parametrize(
+    "value,earlier,runs,result,charges",
+    [
+        # one run at 2: a bit written earlier in the step stays free
+        (0b0101, True, (2,), True, (0b1100, 0b1001, 0b1101)),
+        (0b0111, False, (2,), True, (0b1100, 0b1000, 0b1111)),
+        (0b1010, False, (2,), False, (0b0100, 0, 0b1010)),
+        # two runs of one bit, at 2 and then at 0
+        (0b0100, False, (2, 0), True, (0b0101, 0b0001, 0b0101)),
+        (0b0001, False, (2, 0), False, (0b0100, 0, 0b0001)),
+    ],
+)
+def test_read_table_charges_and_writes_as_its_call_would(value, earlier, runs, result, charges):
+    table = _empty_table(2)
+    widths = []
+
+    def call(sub, ledger):
+        widths.append(sub.dim)
+        return _low_flips_high(sub, ledger)
+
+    for _ in range(2):
+        state = BitState.from_int(value, 4)
+        ledger = ProbeLedger()
+        ledger.open_step()
+        if earlier:
+            ledger.write(state, 0, value & 1)
+        n = 2 if len(runs) == 1 else 1
+        assert ledger.read_table(state, runs[0], n, table, call, *runs[1:]) is result
+        assert (ledger.rmask, ledger.wmask, state.value) == charges
+    # the second call took the entry the first one filled
+    assert widths == [2]
+
+
+def test_read_table_refuses_a_call_that_writes_a_bit_unchanged():
+    state = BitState.from_int(0b11, 2)
+    ledger = ProbeLedger()
+    ledger.open_step()
+    table = array("H", bytes(8))
+    with pytest.raises(UsageError, match="flip every bit"):
+        ledger.read_table(state, 0, 2, table, lambda sub, led: led.write(sub, 1, 1))
+    assert (ledger.rmask, ledger.wmask, state.value, table[3]) == (0, 0, 0b11, 0)
+
+
 def test_read_run_outside_a_step_is_a_usage_error():
     state = BitState.zeros(3)
     ledger = ProbeLedger()
@@ -311,10 +369,27 @@ def test_read_run_outside_a_step_is_a_usage_error():
         lambda: ledger.read_run(state, 0, 2),
         lambda: ledger.read_pairs(state, 0, 1, 1),
         lambda: ledger.read_zip(state, 0, 1, 1, 0, 0),
+        lambda: ledger.read_table(state, 0, 2, _empty_table(2), _low_flips_high),
+        lambda: ledger.read_table(state, 0, 1, _empty_table(2), _low_flips_high, 2),
     ):
         with pytest.raises(UsageError, match="no open step"):
             scan()
     assert ledger.rmask == 0
+
+
+def test_a_scan_of_no_positions_reads_nothing_and_returns_its_loops_result():
+    state = BitState.from_text("01011")
+    ledger = ProbeLedger()
+    ledger.open_step()
+    table = _empty_table(0)
+    # even where its runs would start outside the state
+    for off in (0, 5, -1):
+        assert ledger.read_run(state, off, 0, 0) == 0
+        assert ledger.read_pairs(state, off, 1, 0) == 0
+        assert ledger.read_zip(state, off, 1, 0, 1, 1) is True
+        assert ledger.read_table(state, off, 0, table, _low_flips_high) is False
+        assert ledger.read_table(state, off, 0, table, _low_flips_high, 1) is False
+    assert (ledger.rmask, ledger.wmask, state.value, table[0]) == (0, 0, 0b01011, 0)
 
 
 @pytest.mark.parametrize(
@@ -326,8 +401,23 @@ def test_read_run_outside_a_step_is_a_usage_error():
         lambda led, s: led.read_zip(s, 0, s.dim - 1, 3, 0, 0),
         lambda led, s: led.read_run(s, 0, -1),
         lambda led, s: led.read_pairs(s, 0, 1, -2),
+        # the call itself would touch only bits dim - 2 and dim - 1
+        lambda led, s: led.read_table(s, s.dim - 2, 3, _empty_table(3), _low_flips_high),
+        lambda led, s: led.read_table(s, 0, 2, _empty_table(4), _low_flips_high, s.dim - 1),
+        lambda led, s: led.read_table(s, -1, 2, _empty_table(4), _low_flips_high, 2),
+        lambda led, s: led.read_table(s, 0, -1, _empty_table(2), _low_flips_high),
     ],
-    ids=["run", "pairs", "zip", "negative-run", "negative-pairs"],
+    ids=[
+        "run",
+        "pairs",
+        "zip",
+        "negative-run",
+        "negative-pairs",
+        "table",
+        "two-run-table",
+        "negative-offset-table",
+        "negative-table",
+    ],
 )
 def test_a_scan_that_leaves_the_state_raises_and_charges_nothing(scan):
     state = BitState.from_text("01011")

@@ -65,6 +65,20 @@ def test_step_charges_match_the_pinned_digest(step):
     assert charge_digest(step, range(1, 13)) == DIGESTS[step.__name__]
 
 
+# rpgc at d = 13, the benchmark's: its odd top level reaches the calls
+# served from 6-bit tables through a 12-bit tail, a route no d <= 12 takes.
+# Taken before any call was served from a table.
+RPGC_13_DIGESTS = {
+    "rpgc_increment": "ec4b0272b4dc59acff5a5443a22c78039098b6d1b9e1ba6f75d5eef232501ef8",
+    "rpgc_decrement": "715941d984a23d06182c18d847e10d7ca0f210fb4907b9a992b2ccfabb9a38ca",
+}
+
+
+@pytest.mark.parametrize("step", [rpgc_increment, rpgc_decrement], ids=lambda f: f.__name__)
+def test_rpgc_charges_at_the_benchmark_dimension_match_the_pinned_digest(step):
+    assert charge_digest(step, [13]) == RPGC_13_DIGESTS[step.__name__]
+
+
 LAZY_DIGESTS = {
     "lazy-2": "3c60a2fa08cf39724fb691bf9351e31ab23be1055de44aa1d15f3d11b4fe0317",
     "lazy-4": "c9119cf0a1dc0899fbb3d613890f9d8f81ad28619853becd26846bfabbc389b6",
@@ -130,6 +144,7 @@ def test_lazy_family_charges_match_the_pinned_digest(layout):
     assert charge_digest(counter.advance, [counter.dim]) == LAZY_DIGESTS[_layout_id(layout)]
 
 
+# 6-4-2-rpgc is the benchmark's composite
 COMPOSITE_DIGESTS = {
     "6-3-rpgc": "478701f5bf8c237865eb17058ed2d839af83684f6b8c0b1436efcd3634106834",
     "7-3-2-rpgc": "ff83db86a39a30563a9df058f008a1c3348c80395eac83156638be133e4e277a",
