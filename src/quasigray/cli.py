@@ -6,7 +6,8 @@ sweep, ``table1`` the desk-scale summary table. Exit codes: 0 success or
 pass, 1 verification/bound failure, 2 usage or parameter error.
 
 Outputs are deterministic: identical invocations produce byte-identical
-files. QUASIGRAY_CYCLE_CAP overrides the enumeration cap.
+files. ``--cap`` sets the enumeration cap, 2^26 steps by default; no
+environment variable changes any output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from .bounds import check_bounds, paper_bounds
 from .composite import GRAY_STEPS, PreconditionError
 from .counters import COUNTERS, make_counter, select_form
-from .harness import collect_metrics, cycle_cap_from_env, enumerate_cycle, verify_quasi_gray
+from .harness import DEFAULT_CYCLE_CAP, collect_metrics, enumerate_cycle, verify_quasi_gray
 from .probes import MAX_DIM, UsageError
 from .reports import build_table1_rows, csv_text, json_chunks, json_rows_chunks, summary_text
 
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--layers", help="comma-separated layer dims, innermost first")
         p.add_argument("--inner", choices=kinds)
         p.add_argument("--encoding", choices=kinds)
-        p.add_argument("--cap", type=int, help="enumeration step cap")
+        p.add_argument("--cap", type=int, default=DEFAULT_CYCLE_CAP, help="enumeration step cap")
 
     cycle = sub.add_parser("cycle", help="enumerate one counter and emit its report")
     cycle.set_defaults(run=_cmd_cycle)
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--layers", help="single layered config, innermost first")
     bench.add_argument("--inner", choices=kinds)
     bench.add_argument("--encoding", choices=kinds)
-    bench.add_argument("--cap", type=int)
+    bench.add_argument("--cap", type=int, default=DEFAULT_CYCLE_CAP)
     bench.add_argument("--emit", choices=["csv", "json"], default="csv")
     bench.add_argument("--output")
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table1", help="measured metrics next to the documented bounds, small dims"
     )
     table1.set_defaults(run=_cmd_table1)
-    table1.add_argument("--cap", type=int)
+    table1.add_argument("--cap", type=int, default=DEFAULT_CYCLE_CAP)
     table1.add_argument("--emit", choices=["csv", "json"], default="csv")
     table1.add_argument("--output")
 
@@ -129,11 +130,9 @@ def _selector_kwargs(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _cap(args: argparse.Namespace) -> int:
-    if args.cap is not None:
-        if args.cap < 1:
-            raise UsageError(f"--cap must be >= 1, got {args.cap}")
-        return args.cap
-    return cycle_cap_from_env()
+    if args.cap < 1:
+        raise UsageError(f"--cap must be >= 1, got {args.cap}")
+    return args.cap
 
 
 def _write_out(pieces: Iterable[str], output: Optional[str]) -> None:
@@ -162,8 +161,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
     counter = make_counter(args.counter, **_selector_kwargs(args))
-    cap = _cap(args)
-    report = enumerate_cycle(counter, cap)
+    report = enumerate_cycle(counter, _cap(args))
     row = collect_metrics(report)
     if args.emit == "json":
         _write_out(json_chunks(row), args.output)
@@ -172,7 +170,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     else:
         _write_out([summary_text(row)], args.output)
     if not report.closed:
-        print(f"warning: cycle did not close within {cap} steps", file=sys.stderr)
+        print(f"warning: cycle did not close within {args.cap} steps", file=sys.stderr)
     return 0
 
 

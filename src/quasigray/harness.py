@@ -9,7 +9,6 @@ runs of the same enumeration are bit-identical.
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -19,20 +18,6 @@ from typing import Dict, Iterator, Optional, Tuple
 from .probes import BitState, CounterSpec, ProbeLedger, UsageError, increment_field
 
 DEFAULT_CYCLE_CAP = 1 << 26
-CAP_ENV_VAR = "QUASIGRAY_CYCLE_CAP"
-
-
-def cycle_cap_from_env() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CYCLE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise UsageError(f"{CAP_ENV_VAR} must be >= 1, got {cap}")
-    return cap
 
 
 @dataclass

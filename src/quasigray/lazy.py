@@ -101,10 +101,10 @@ def _rpgc_rank_table(width: int) -> dict:
     for r in range(1, 1 << width):
         ledger.open_step()
         rpgc._step(state, ledger, 0, width, True)
+        value = ledger.read_run(state, 0, width)
         ledger.close_step()
-        if state.value in table:
+        if table.setdefault(value, r) != r:
             raise UsageError(f"sub-code of width {width} is not space-optimal")
-        table[state.value] = r
     return table
 
 

@@ -9,11 +9,11 @@ reading them first.
 
 The ledger keeps a step's charges as two int masks, one bit per position,
 which are its only record of them, and counts them with ``bit_count``.
-Besides single reads, it scans a run of positions (``read_run``), two runs
-pair by pair (``read_pairs``) and two runs zipped (``read_zip``), each in
-one call, under the one contract :class:`ProbeLedger` states. A fourth
-scan, ``read_table``, serves a whole small call of a step function from a
-table that running the call itself fills.
+Besides single reads, it scans a run of positions (``read_run``) and two
+runs zipped (``read_zip``), each in one call, under the one contract
+:class:`ProbeLedger` states. A third scan, ``read_table``, serves a whole
+small call of a step function from a table that running the call itself
+fills.
 """
 
 from __future__ import annotations
@@ -108,16 +108,16 @@ class ProbeLedger:
     a position costs one write. ``close_step`` folds the step into the
     running totals and maxima.
 
-    Besides single reads and writes, four scans each charge and return
+    Besides single reads and writes, three scans each charge and return
     exactly what their loop of :meth:`read` would, in one call:
-    :meth:`read_run` reads a run of positions, :meth:`read_pairs` compares
-    two runs pair by pair, and :meth:`read_zip` tests two runs, zipped, for
-    wanted bits. Each reads in a fixed order and ends right after the first
-    bit that is not as wanted. :meth:`read_table` stands for a whole call
-    of a step function on one or two short runs, its writes included. A
-    scan of no positions reads nothing and returns what its loop would. A
-    scan that finds no open step, has a negative width or leaves the state
-    raises :class:`UsageError` and charges nothing.
+    :meth:`read_run` reads a run of positions, and :meth:`read_zip` tests
+    two runs, zipped, for wanted bits or for equality. Each reads in a
+    fixed order and ends right after the first bit that is not as wanted.
+    :meth:`read_table` stands for a whole call of a step function on one
+    or two short runs, its writes included. A scan of no positions reads
+    nothing and returns what its loop would. A scan that finds no open
+    step, has a negative width or leaves the state raises
+    :class:`UsageError` and charges nothing.
     """
 
     __slots__ = (
@@ -177,34 +177,30 @@ class ProbeLedger:
         self.rmask |= (mask << off) & ~self.wmask
         return run
 
-    def read_pairs(self, state: BitState, a: int, b: int, n: int) -> int:
-        """Tracked reads of ``a, b, a+1, b+1, ...`` that end right after
-        the first ``b`` bit unequal to its ``a`` bit; returns that pair's
-        index, or ``n`` when all ``n`` pairs are equal."""
-        dim = state.dim
-        if n <= 0 or not self._open or a < 0 or b < 0 or a + n > dim or b + n > dim:
-            return self._refuse(state, n, 0, a, b)
-        value = state.value
-        mask = (1 << n) - 1
-        diff = ((value >> a) ^ (value >> b)) & mask
-        if diff:
-            # the scan ends after the lowest unequal pair
-            low = diff & -diff
-            mask = (low << 1) - 1
-            n = low.bit_length() - 1
-        self.rmask |= ((mask << a) | (mask << b)) & ~self.wmask
-        return n
-
-    def read_zip(self, state: BitState, a: int, b: int, n: int, want_a: int, want_b: int) -> bool:
+    def read_zip(
+        self,
+        state: BitState,
+        a: int,
+        b: int,
+        n: int,
+        want_a: Optional[int] = None,
+        want_b: Optional[int] = None,
+    ) -> bool:
         """Tracked reads of ``a, b, a+1, b+1, ...`` that end right after
         the first bit that differs from its wanted bit: bit ``i`` of
         ``want_a`` for position ``a+i``, of ``want_b`` for ``b+i``. True
-        when all ``2n`` bits are as wanted."""
+        when all ``2n`` bits are as wanted.
+
+        With no wanted bits it compares the runs for equality: every ``a``
+        bit is as wanted, and each ``b`` bit wants its ``a`` bit, so the
+        scan ends right after the first unequal pair."""
         dim = state.dim
         if n <= 0 or not self._open or a < 0 or b < 0 or a + n > dim or b + n > dim:
             return self._refuse(state, n, True, a, b)
         value = state.value
         mask = (1 << n) - 1
+        if want_a is None:
+            want_a = want_b = value >> a
         # bit n stands for "no miss", so each lowest bit is the run's end
         low_a = ((value >> a) ^ want_a) & mask | (mask + 1)
         low_b = ((value >> b) ^ want_b) & mask | (mask + 1)

@@ -24,7 +24,7 @@ depends on them:
 
 Each of these scans is one ledger call with the charges of its loop of
 single reads, ending right after the first bit that is not as wanted:
-``read_pairs`` for an equality comparison, ``read_zip`` for the
+``read_zip`` for an equality comparison (with no wanted bits), the
 maximum-state test and the quarter zigzag, and a zero test (``read_run``
 wanting zeros) for each half of W's first half.
 
@@ -48,7 +48,7 @@ from .probes import BitState, CounterSpec, ProbeLedger, field_is_zero
 
 
 def _equal(s: BitState, led: ProbeLedger, off_a: int, off_b: int, n: int) -> bool:
-    return led.read_pairs(s, off_a, off_b, n) == n
+    return led.read_zip(s, off_a, off_b, n)
 
 
 def _is_max(s: BitState, led: ProbeLedger, off: int, n: int) -> bool:

@@ -148,9 +148,8 @@ def test_cycle_cap_flag_warns_when_unclosed(capsys):
     assert "did not close" in captured.err
 
 
-def test_cap_zero_is_rejected(monkeypatch, capsys):
-    # --cap 0 must not fall back to the environment or the default cap
-    monkeypatch.setenv("QUASIGRAY_CYCLE_CAP", "5")
+def test_cap_zero_is_rejected(capsys):
+    # --cap 0 must not fall back to the default cap
     for verb in (
         ["cycle", "--counter", "rpgc", "--dim", "4"],
         ["bench", "--counter", "rpgc", "--dims", "2"],
@@ -228,12 +227,6 @@ def test_repeated_calls_hold_the_same_memory():
     assert max(peaks[1:]) - min(peaks[1:]) < 4096, peaks
 
 
-def test_env_cap_override(monkeypatch, capsys):
-    monkeypatch.setenv("QUASIGRAY_CYCLE_CAP", "5")
-    assert run_cli(["cycle", "--counter", "rpgc", "--dim", "4"]) == 0
-    assert "closed=false" in capsys.readouterr().out
-
-
 def test_bench_writes_ordered_csv(tmp_path):
     out = tmp_path / "bench.csv"
     assert (
@@ -286,6 +279,21 @@ def test_table1_file_is_deterministic(tmp_path):
     header = a.read_text().splitlines()[0]
     assert header.startswith(",".join(CSV_COLUMNS))
     assert "paper_bound_avg_reads" in header
+
+
+def test_table1_cap_leaves_the_composite_bound_cells_alone(capsys):
+    # a bound cell is a claim about the whole inner code, so the cap must
+    # not cut short the inner enumeration behind composite's average bound
+    cells = []
+    for cap in ([], ["--cap", "100"]):
+        assert run_cli(["table1", "--emit", "json", *cap]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        composites = [r for r in rows if r["counter"] == "composite"]
+        cells.append(
+            [{k: v for k, v in r.items() if k.startswith("paper_bound_")} for r in composites]
+        )
+    assert len(cells[0]) == 2 and all(len(row) == 4 for row in cells[0])
+    assert cells[0] == cells[1]
 
 
 def test_cycle_output_file_has_lf_endings(tmp_path):

@@ -30,11 +30,14 @@ from quasigray.harness import (
     _K,
     DECIMAL_DIGITS,
     DEFAULT_CYCLE_CAP,
-    cycle_cap_from_env,
     decimal_str,
     make_binary_counter,
     standard_binary_step,
 )
+from quasigray.bounds import BoundSpec, LogLinearBound, table_bounds
+from quasigray.composite import LayerPlan, auto_plan, logstar_plan
+from quasigray.lazy import LazyLayout
+from quasigray.logmath import compare_with_log2, iterated_log_at_least, log_star
 from quasigray.probes import increment_field
 from quasigray.reports import CSV_COLUMNS, csv_text, json_chunks, json_rows_chunks, json_text
 
@@ -100,6 +103,49 @@ def test_verify_quasi_gray_rejects_unclosed_reports():
         verify_quasi_gray(report, 1)
     with pytest.raises(UsageError):
         verify_quasi_gray(enumerate_cycle(make_counter("rpgc", dim=3)), 0)
+
+
+def _write_out_of_range_bit():
+    ledger = ProbeLedger()
+    ledger.open_step()
+    ledger.write(BitState.zeros(3), 0, 2)
+
+
+# each refusal of a precondition: the call, and the start of its message
+REFUSALS = {
+    "zero-cap": (lambda: enumerate_cycle(make_counter("rpgc", dim=3), 0), "cap must"),
+    "empty-plan": (lambda: LayerPlan([]), "a plan needs"),
+    "auto-plan-dim-0": (lambda: auto_plan(0, 1), "dimension must"),
+    "logstar-plan-dim-0": (lambda: logstar_plan(0), "dimension must"),
+    "unknown-counter": (lambda: make_counter("nope"), "unknown counter"),
+    "negative-g": (lambda: LazyLayout(4, -1), "g must"),
+    "unknown-encoding": (lambda: LazyLayout(4, 1, "gray"), "encoding must"),
+    "log-star-of-0": (lambda: log_star(0), "log_star requires"),
+    "iterated-log-of-0": (lambda: iterated_log_at_least(0, 1, 1), "iterated log requires"),
+    "negative-iteration": (lambda: iterated_log_at_least(4, -1, 1), "k must"),
+    "log2-of-0": (lambda: compare_with_log2(Fraction(1), 0), "log2 argument must"),
+    "short-bits": (lambda: BitState(3, [0, 1]), "expected 3 bits"),
+    "write-of-2": (_write_out_of_range_bit, "bit values must"),
+    "zero-coefficient": (
+        lambda: LogLinearBound(Fraction(0), 3).admits(Fraction(1)),
+        "coefficient must",
+    ),
+    "unknown-bound-kind": (lambda: BoundSpec("nope", "1", 1, "nowhere"), "unknown bound kind"),
+    "composite-without-inner-average": (
+        lambda: table_bounds(make_counter("composite", layers=[3, 2], inner="rpgc")),
+        "the composite average bound",
+    ),
+    "uncatalogued-counter": (
+        lambda: paper_bounds(replace(make_counter("wine", n=4, g=1), name="nope")),
+        "no bound catalog",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_broken_precondition_is_a_usage_error(call, message):
+    with pytest.raises(UsageError, match=f"^{message}"):
+        call()
 
 
 def test_collect_metrics_values(cycle_report):
@@ -308,19 +354,6 @@ def test_every_counter_writes_each_step_within_dim(cycle_report):
         assert min(w for _, w, _ in report.replay()) >= 1
         assert report.worst_reads <= report.dim
         assert report.worst_writes <= report.dim
-
-
-def test_cycle_cap_env_override(monkeypatch):
-    monkeypatch.setenv("QUASIGRAY_CYCLE_CAP", "12")
-    assert cycle_cap_from_env() == 12
-    monkeypatch.setenv("QUASIGRAY_CYCLE_CAP", "zero")
-    with pytest.raises(UsageError):
-        cycle_cap_from_env()
-    monkeypatch.setenv("QUASIGRAY_CYCLE_CAP", "0")
-    with pytest.raises(UsageError):
-        cycle_cap_from_env()
-    monkeypatch.delenv("QUASIGRAY_CYCLE_CAP")
-    assert cycle_cap_from_env() == DEFAULT_CYCLE_CAP
 
 
 # the configurations of the benchmark's verify-sweep grid

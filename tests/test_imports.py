@@ -122,3 +122,38 @@ def test_the_guard_sees_a_step_outside_them(tmp_path):
         "    c.advance = None\n"
     )
     assert _advance_readers(module) == {"R.replay", "R.again"}
+
+
+def _environment_reads(path):
+    """The lines of ``path`` that import ``os`` or read an ``environ`` or
+    ``getenv`` attribute, so that its output could depend on more than its
+    arguments."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "os" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[0] == "os"
+        else:
+            hit = isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        if hit:
+            lines.add(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert _environment_reads(path) == set()
+
+
+def test_the_guard_sees_an_environment_read(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import sys, os.path\n"
+        "from os import getenv\n"
+        "import operator\n"
+        "cap = sys.modules['os'].environ.get('CAP')\n"
+        "home = getenv('HOME')\n"
+        "args = sys.argv\n"
+    )
+    assert _environment_reads(module) == {1, 2, 4}

@@ -268,10 +268,6 @@ class ReadCountingLedger(ProbeLedger):
         self.calls += 1
         return super().read_run(*args)
 
-    def read_pairs(self, *args):
-        self.calls += 1
-        return super().read_pairs(*args)
-
     def read_zip(self, *args):
         self.calls += 1
         return super().read_zip(*args)

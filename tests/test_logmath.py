@@ -1,10 +1,13 @@
 import math
 import time
+from decimal import Context, Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quasigray import logmath
 from quasigray.bounds import LogLinearBound
 from quasigray.logmath import (
     _ln_sign,
@@ -69,6 +72,41 @@ def test_compare_with_log2_near_ties_with_huge_denominators_finish():
         start = time.perf_counter()
         assert compare_with_log2(centre + delta, 3) == expected
         assert time.perf_counter() - start < 1.0
+
+
+def _convergents(x, count):
+    """The first ``count`` continued-fraction convergents of ``x``."""
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    out = []
+    for _ in range(count):
+        a = x.numerator // x.denominator
+        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+        out.append(Fraction(p, q))
+        x = 1 / (x - a)
+    return out
+
+
+@pytest.mark.parametrize(
+    "k, precisions",
+    [(40, [40, 80]), (41, [40, 80]), (100, [40, 80, 160]), (101, [40, 80, 160])],
+)
+def test_convergents_of_log2_3_take_the_precision_doublings(monkeypatch, k, precisions):
+    # a convergent p/q of log2(3) lies about 1/q^2 from it, so the gap
+    # q ln 3 - p ln 2 shrinks like 1/q: 20-digit denominators defeat 40
+    # digits of logarithm, 50-digit ones 80 digits
+    ctx = Context(prec=300)
+    log2_3 = Fraction(ctx.divide(Decimal(3).ln(ctx), Decimal(2).ln(ctx)))
+    convergent = _convergents(log2_3, k + 1)[k]
+    seen = []
+    monkeypatch.setattr(
+        logmath, "Context", lambda **kw: seen.append(kw["prec"]) or Context(**kw)
+    )
+    start = time.perf_counter()
+    sign = compare_with_log2(convergent, 3)
+    assert time.perf_counter() - start < 1.0
+    # the convergents fall below log2(3) at even k and above it at odd k
+    assert sign == (convergent > log2_3) - (convergent < log2_3) == (-1) ** (k + 1)
+    assert seen == precisions
 
 
 @given(

@@ -291,11 +291,15 @@ def _pair_cases(draw):
     return (dim, bits, reads, writes), a, b, n, want_a, want_b
 
 
+def _loop_of_equality(state, ledger, a, b, n):
+    return _loop_of_pairs(state, ledger, a, b, n) == n
+
+
 @settings(max_examples=1000)
 @given(_pair_cases())
-def test_read_pairs_charges_like_the_loop_of_read(case):
+def test_read_zip_without_wants_charges_like_the_loop_of_pairs(case):
     step, a, b, n, _, _ = case
-    _same_as_the_loop(_loop_of_pairs, "read_pairs", step, n, [a, b], a, b, n)
+    _same_as_the_loop(_loop_of_equality, "read_zip", step, n, [a, b], a, b, n)
 
 
 @settings(max_examples=1000)
@@ -367,7 +371,7 @@ def test_read_run_outside_a_step_is_a_usage_error():
     ledger = ProbeLedger()
     for scan in (
         lambda: ledger.read_run(state, 0, 2),
-        lambda: ledger.read_pairs(state, 0, 1, 1),
+        lambda: ledger.read_zip(state, 0, 1, 1),
         lambda: ledger.read_zip(state, 0, 1, 1, 0, 0),
         lambda: ledger.read_table(state, 0, 2, _empty_table(2), _low_flips_high),
         lambda: ledger.read_table(state, 0, 1, _empty_table(2), _low_flips_high, 2),
@@ -385,7 +389,7 @@ def test_a_scan_of_no_positions_reads_nothing_and_returns_its_loops_result():
     # even where its runs would start outside the state
     for off in (0, 5, -1):
         assert ledger.read_run(state, off, 0, 0) == 0
-        assert ledger.read_pairs(state, off, 1, 0) == 0
+        assert ledger.read_zip(state, off, 1, 0) is True
         assert ledger.read_zip(state, off, 1, 0, 1, 1) is True
         assert ledger.read_table(state, off, 0, table, _low_flips_high) is False
         assert ledger.read_table(state, off, 0, table, _low_flips_high, 1) is False
@@ -397,10 +401,10 @@ def test_a_scan_of_no_positions_reads_nothing_and_returns_its_loops_result():
     [
         # each loop of read would stop inside the state, at bit dim - 2 or 0
         lambda led, s: led.read_run(s, s.dim - 2, 5, 0),
-        lambda led, s: led.read_pairs(s, 0, s.dim - 1, 3),
+        lambda led, s: led.read_zip(s, 0, s.dim - 1, 3),
         lambda led, s: led.read_zip(s, 0, s.dim - 1, 3, 0, 0),
         lambda led, s: led.read_run(s, 0, -1),
-        lambda led, s: led.read_pairs(s, 0, 1, -2),
+        lambda led, s: led.read_zip(s, 0, 1, -2),
         # the call itself would touch only bits dim - 2 and dim - 1
         lambda led, s: led.read_table(s, s.dim - 2, 3, _empty_table(3), _low_flips_high),
         lambda led, s: led.read_table(s, 0, 2, _empty_table(4), _low_flips_high, s.dim - 1),
@@ -430,13 +434,9 @@ def test_a_scan_that_leaves_the_state_raises_and_charges_nothing(scan):
 
 # Step code reaches a state's bits only through the ledger. These are the
 # attributes of BitState that expose its bits in bulk, and the only places in
-# the counter modules allowed to use them: brgc's untracked rank oracle, and
-# the rank table lazy builds, under its own ledger, for an rpgc pointer.
+# the counter modules allowed to use them: brgc's untracked rank oracle.
 BULK_VIEWS = {"value", "bits", "to_text", "copy"}
-BULK_VIEW_ALLOWED = {
-    ("brgc", "brgc_rank", "value"),
-    ("lazy", "_rpgc_rank_table", "value"),
-}
+BULK_VIEW_ALLOWED = {("brgc", "brgc_rank", "value")}
 
 
 def _bulk_view_uses(module):

@@ -178,10 +178,6 @@ class CallLog(ProbeLedger):
         self.calls.append("read_run")
         return super().read_run(*args)
 
-    def read_pairs(self, *args):
-        self.calls.append("read_pairs")
-        return super().read_pairs(*args)
-
     def read_zip(self, *args):
         self.calls.append("read_zip")
         return super().read_zip(*args)
