@@ -207,6 +207,8 @@ def paper_bounds(counter: CounterSpec) -> List[BoundSpec]:
             ),
             BoundSpec("hamming_le", "layer count", c, "quasi-Gray property"),
         ]
+    if name not in ("lazy", "spin", "doublespin", "wine"):
+        raise UsageError(f"no bound catalog for counter {name!r}")
     n = int(p["n"])
     w = n.bit_length() - 1
     if name == "lazy":
@@ -254,27 +256,23 @@ def paper_bounds(counter: CounterSpec) -> List[BoundSpec]:
                 "double-spin space efficiency",
             ),
         ]
-    if name == "wine":
-        return [
-            _length_bound(
-                "n*2^n*2^g-(n+1)*2^n+n",
-                n * (1 << n) * (1 << g) - (n + 1) * (1 << n) + n,
-                "wine length claim",
-                disputed=True,
-            ),
-            BoundSpec(
-                "worst_reads_le", "g+log2(n)+1", g + w + 1, "wine worst reads"
-            ),
-            BoundSpec("worst_writes_le", "3", 3, "wine worst writes"),
-            BoundSpec("hamming_le", "3", 3, "quasi-Gray property"),
-            BoundSpec(
-                "efficiency_ge",
-                "1-2^(2-g)",
-                Fraction(1) - Fraction(1 << 2, 1 << g),
-                "wine space efficiency",
-            ),
-        ]
-    raise UsageError(f"no bound catalog for counter {name!r}")
+    return [
+        _length_bound(
+            "n*2^n*2^g-(n+1)*2^n+n",
+            n * (1 << n) * (1 << g) - (n + 1) * (1 << n) + n,
+            "wine length claim",
+            disputed=True,
+        ),
+        BoundSpec("worst_reads_le", "g+log2(n)+1", g + w + 1, "wine worst reads"),
+        BoundSpec("worst_writes_le", "3", 3, "wine worst writes"),
+        BoundSpec("hamming_le", "3", 3, "quasi-Gray property"),
+        BoundSpec(
+            "efficiency_ge",
+            "1-2^(2-g)",
+            Fraction(1) - Fraction(1 << 2, 1 << g),
+            "wine space efficiency",
+        ),
+    ]
 
 
 # the bound columns of table1, in the order table_bounds fills them

@@ -7,12 +7,15 @@ pass, 1 verification/bound failure, 2 usage or parameter error.
 
 Outputs are deterministic: identical invocations produce byte-identical
 files. ``--cap`` sets the enumeration cap, 2^26 steps by default; no
-environment variable changes any output.
+environment variable changes any output. The argparse tree is built once
+per process, on the first ``run_cli`` call; each call parses with a copy.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import gc
 import itertools
 import sys
@@ -54,7 +57,8 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _built_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasigray",
         description="Generate, verify and benchmark quasi-Gray code counters "
@@ -111,7 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     table1.add_argument("--emit", choices=["csv", "json"], default="csv")
     table1.add_argument("--output")
 
+    gc.collect()  # the help formatters the build threw away
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A shallow copy of the one parser: an attribute set on the copy stays
+    there, while its arguments and subparsers are the shared ones."""
+    return copy.copy(_built_parser())
 
 
 def _selector_kwargs(args: argparse.Namespace) -> Dict[str, object]:
@@ -238,20 +249,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def run_cli(argv: Sequence[str]) -> int:
-    # An argparse parser is a web of reference cycles, about 60 KiB with the
-    # help formatters its build discards, that only the cyclic collector
-    # frees. Emptying the young generations first keeps the build's own
-    # collections from moving the parser to the old one, so the collection
-    # after the parse frees all of it before the command runs, however long
-    # ago the collector last ran.
-    gc.collect(1)
     try:
         args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    finally:
-        gc.collect(1)
     try:
         return args.run(args)
     except (UsageError, PreconditionError, OSError) as exc:

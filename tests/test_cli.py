@@ -1,7 +1,11 @@
+import argparse
+import ast
 import contextlib
 import gc
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -191,23 +195,75 @@ def test_a_sweep_past_the_dimension_bound_exits_2_before_expanding(capsys):
     assert run_cli("bench --counter brgc --dims 2,1-1048576 --cap 1".split()) == 2
 
 
-def test_a_call_frees_its_parser_before_the_command_runs(monkeypatch, capsys):
-    found = []
-    monkeypatch.setattr(cli, "_cmd_list", lambda args: found.append(gc.collect()) or 0)
+def test_the_parser_is_built_once_and_a_call_leaves_no_garbage(monkeypatch, capsys):
+    assert run_cli(["list"]) == 0  # warm-up: the first call in a process builds the parser
     gc.collect()
     assert run_cli(["list"]) == 0
-    # enter where the next collection takes the young generations into the
-    # old one: a build that started from there without a collection would
-    # move about 200 of the parser's objects where a young one misses them
-    gc.collect()
-    junk = []
-    while gc.get_count()[1] <= gc.get_threshold()[1]:
-        junk.append([])
-    while gc.get_count()[0] < gc.get_threshold()[0] // 2:
-        junk.append([])
+    # a call parses with a shallow copy, which reference counting frees
+    assert gc.collect() == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     assert run_cli(["list"]) == 0
-    # the parser's reference cycles were collected after the parse
-    assert found == [0, 0]
+    assert run_cli(["verify", "--counter", "brgc", "--dim", "3"]) == 0
+    assert run_cli(["cycle", "--counter", "nope"]) == 2
+    assert built == []
+
+
+def _help_texts(parser, capsys):
+    texts = [parser.format_help()]
+    for verb in ("list", "cycle", "verify", "bench", "table1"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([verb, "--help"])
+        texts.append(capsys.readouterr().out)
+    return texts
+
+
+def test_each_call_parses_with_an_identical_independent_copy(capsys):
+    # perfbench's tracer rebinds parse_args on the parser build_parser returns
+    first = cli.build_parser()
+    first.parse_args = lambda args=None: pytest.fail("a rebinding reached a later copy")
+    second = cli.build_parser()
+    assert second is not first and "parse_args" not in vars(second)
+    assert run_cli(["list"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    fresh = cli._built_parser.__wrapped__()
+    # the build frees the help formatters it threw away
+    assert gc.collect() == 0
+    assert _help_texts(second, capsys) == _help_texts(fresh, capsys)
+
+
+USAGE_ERROR_TWICE = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from quasigray.cli import run_cli
+
+for _ in range(2):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run_cli(["cycle", "--counter", "nope"])
+    print(repr((code, err.getvalue())))
+"""
+
+
+def test_a_usage_error_reads_the_same_on_the_first_call_and_later():
+    src = str(Path(cli.__file__).parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", USAGE_ERROR_TWICE, src],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    first, later = run.stdout.splitlines()
+    assert first == later
+    code, err = ast.literal_eval(first)
+    assert code == 2 and err.startswith("usage: quasigray cycle")
+    assert "invalid choice: 'nope'" in err
 
 
 def test_repeated_calls_hold_the_same_memory():

@@ -139,6 +139,10 @@ REFUSALS = {
         lambda: paper_bounds(replace(make_counter("wine", n=4, g=1), name="nope")),
         "no bound catalog",
     ),
+    "uncatalogued-counter-without-n": (
+        lambda: paper_bounds(CounterSpec("nope", 2, {}, BitState.zeros(2), None)),
+        "no bound catalog",
+    ),
 }
 
 
