@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -397,6 +398,67 @@ def test_write_claim_is_the_catalogued_write_bound(config):
     bounds = {b.kind: b.value for b in paper_bounds(counter)}
     assert counter.claimed_c == bounds["worst_writes_le"]
     assert counter.claimed_c == bounds.get("hamming_le", counter.claimed_c)
+
+
+# SHA-256 of each catalog entry's kind, formula, value, source and disputed
+# flag, in catalog order, for configurations that the golden file's verify
+# rows never reach. Ints are pinned in hex: Python refuses the decimal form
+# of 2^(2^16). Taken before the catalog stated each family's claims once.
+CATALOG_PINS = [
+    ("binary", dict(dim=1), "27825bd98a08572ae7b611c1c6df9a5ad0aa097697e0cc1c74410cd1fde2028f"),
+    ("brgc", dict(dim=1), "cf0b848746ce4f5b43f6c1e974eb6807d7391b9747b9785164bb682998a857c5"),
+    ("rpgc", dict(dim=1), "56772f74c75afaf661d084efa528d0a287f9d29eb2f5fbe8a480b37e4233709c"),
+    ("rpgc", dict(dim=16), "a4b605a23a34bce75bed0ffc6e92a810d0dbe42ee7eb8ddcf02de175650562d1"),
+    ("rpgc", dict(dim=64), "7cec52aa76ae7be3b78379176598f5d2cd0bd85d1c3c1fc27069ff276626cad1"),
+    ("rpgc", dict(dim=1000), "fd9b5fc1323320e982d1a5b7b329c3dd04f14b8aa9edb71a81f2f0486236d17a"),
+    (
+        "rpgc",
+        dict(dim=1 << 16),
+        "9dce826f9f7f47e70db5dde91c42597c3ff13f980fd59de99b7ed5307be159c2",
+    ),
+    (
+        "composite",
+        dict(dim=7, c=1),
+        "79ae10d2ea4b571e72411fe6e92875a62b606efd4dc800df841dc2364d0356de",
+    ),
+    (
+        "composite",
+        dict(layers=(5,)),
+        "a075cdc4d4a7e3d3a1254d58606c3c9d0e195a11399ae75aa19ad9beb91aef46",
+    ),
+    ("lazy", dict(n=64), "e963d9fa7ede711f4d34574bfdf57683a7a689ad464a19a74f987be93cf14c22"),
+    ("spin", dict(n=64), "d969820fcbff702811ec4d5d4aa6e5c97a405b4fa0ce7d44c827b739259769dd"),
+    (
+        "doublespin",
+        dict(n=8, g=5),
+        "d85278624a1e7315905b8d7a398e75619abf208f45f3e7b7ca7d50f9006caf5b",
+    ),
+    (
+        "wine",
+        dict(n=8, g=5, encoding="brgc"),
+        "5347705d782a2df08889c5b7765d2007852b48ed94860902aac2a42cdf782909",
+    ),
+    (
+        "wine",
+        dict(n=8, g=5, encoding="rpgc"),
+        "5347705d782a2df08889c5b7765d2007852b48ed94860902aac2a42cdf782909",
+    ),
+]
+
+
+def catalog_digest(counter):
+    digest = hashlib.sha256()
+    for b in paper_bounds(counter):
+        value = hex(b.value) if isinstance(b.value, int) else repr(b.value)
+        digest.update(f"{b.kind}|{b.formula}|{value}|{b.source}|{b.disputed}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, kw, expected", CATALOG_PINS, ids=[_grid_id(pin[:2]) for pin in CATALOG_PINS]
+)
+def test_catalog_entries_match_the_pinned_digest(name, kw, expected):
+    assert catalog_digest(make_counter(name, **kw)) == expected
 
 
 def _start_states(name, counter):
