@@ -129,150 +129,79 @@ def check_bounds(report: CycleReport, bounds: List[BoundSpec]) -> List[BoundResu
     return results
 
 
-def _length_bound(formula: str, value: int, source: str, disputed: bool = False) -> BoundSpec:
-    return BoundSpec("length_exact", formula, value, source, disputed)
-
-
-def _worst_pair(formula: str, value: int, family: str) -> List[BoundSpec]:
-    """One cap on both the reads and the writes of every step."""
-    return [
-        BoundSpec("worst_reads_le", formula, value, f"{family} worst reads"),
-        BoundSpec("worst_writes_le", formula, value, f"{family} worst writes"),
-    ]
-
-
 def paper_bounds(counter: CounterSpec) -> List[BoundSpec]:
-    """The documented claims for one counter configuration."""
+    """The documented claims for one counter configuration, in catalog order.
+
+    Each family states its shared claims once. A space-optimal code
+    (binary, brgc, rpgc, composite) has length 2^d and reads at most d bits
+    a step; a lazy-family counter (lazy, spin, doublespin, wine) reads at
+    most g + log2(n) + 1. A counter adds its own claims and the formula of
+    its write cap, whose value is always its ``claimed_c``. A write-cap
+    formula other than the read cap's claims a Gray (formula 1) or
+    quasi-Gray code, which also caps each step's Hamming distance at c.
+    """
     name = counter.name
-    p = counter.params
-    if name == "binary":
+    # entries are BoundSpec's arguments; head precedes the caps, tail follows
+    if name in ("binary", "brgc", "rpgc", "composite"):
         d = counter.dim
-        return [
-            _length_bound("2^d", 1 << d, "binary counter length"),
-            BoundSpec(
-                "avg_reads_le",
-                "2 - 2^(1-d)",
-                Fraction(2) - Fraction(1, 1 << (d - 1)),
-                "binary counter average",
-            ),
-            *_worst_pair("d", d, "binary counter"),
-        ]
-    if name == "brgc":
-        d = counter.dim
-        return [
-            _length_bound("2^d", 1 << d, "reflected code length"),
-            BoundSpec("avg_reads_le", "d", d, "reflected code average reads"),
-            BoundSpec("worst_reads_le", "d", d, "reflected code worst reads"),
-            BoundSpec("worst_writes_le", "1", 1, "reflected code single write"),
-            BoundSpec("hamming_le", "1", 1, "Gray property"),
-        ]
-    if name == "rpgc":
-        d = counter.dim
-        bounds = [
-            _length_bound("2^d", 1 << d, "partition code length"),
-            BoundSpec("worst_reads_le", "d", d, "partition code worst reads"),
-            BoundSpec("worst_writes_le", "1", 1, "partition code single write"),
-            BoundSpec("hamming_le", "1", 1, "Gray property"),
-        ]
-        if d >= 2:
-            bounds.insert(
-                1,
-                BoundSpec(
-                    "avg_reads_le",
-                    "6*log2(d)",
-                    LogLinearBound(Fraction(6), d),
-                    "partition code average reads",
-                ),
-            )
-            if is_power_of_two(d):
-                bounds.insert(
-                    1,
-                    BoundSpec(
-                        "avg_reads_le",
-                        "4*log2(d)",
-                        LogLinearBound(Fraction(4), d),
-                        "partition code average reads, power-of-two dimension",
-                    ),
-                )
-        return bounds
-    if name == "composite":
-        d = counter.dim
-        layers = str(p.get("layers", "")).split(",")
-        c = len(layers)
-        return [
-            _length_bound("2^d", 1 << d, "layered code length"),
-            BoundSpec("worst_reads_le", "d", d, "layered code worst reads"),
-            BoundSpec(
-                "worst_writes_le", "layer count", c, "one write per advanced layer"
-            ),
-            BoundSpec("hamming_le", "layer count", c, "quasi-Gray property"),
-        ]
-    if name not in ("lazy", "spin", "doublespin", "wine"):
+        reads, read_value, tail = "d", d, []
+        if name == "binary":
+            family, writes, write_source = "binary counter", "d", "binary counter worst writes"
+            averages = [("2 - 2^(1-d)", 2 - Fraction(2, 1 << d), f"{family} average")]
+        elif name == "brgc":
+            family, writes, write_source = "reflected code", "1", "reflected code single write"
+            averages = [("d", d, f"{family} average reads")]
+        elif name == "rpgc":
+            family, writes, write_source = "partition code", "1", "partition code single write"
+            averages = [
+                (f"{k}*log2(d)", LogLinearBound(Fraction(k), d), f"{family} average reads{note}")
+                for k, note in ((4, ", power-of-two dimension"), (6, ""))
+                if d >= 2 and (k == 6 or is_power_of_two(d))
+            ]
+        else:
+            family, averages = "layered code", []
+            writes, write_source = "layer count", "one write per advanced layer"
+        head = [("length_exact", "2^d", 1 << d, f"{family} length")]
+        head += [("avg_reads_le", *average) for average in averages]
+    elif name in ("lazy", "spin", "doublespin", "wine"):
+        n, g = int(counter.params["n"]), int(counter.params["g"])
+        log_n, two_n = n.bit_length() - 1, 1 << n
+        reads, read_value = "g+log2(n)+1", g + log_n + 1
+        if name == "lazy":
+            family, reads = "lazy counter", "log2(n)+1"
+            lengths = [("2^(n+1)-2", 2 * two_n - 2, f"{family} length")]
+            claim = f"{family} average-read claim (measured value is {reads})"
+            tail = [("avg_reads_le", "3", 3, claim)]
+        elif name == "spin":
+            family, reads = "spin counter", "log2(n)+2"
+            lengths = [
+                ("(n+1)*(2^n-1)", (n + 1) * (two_n - 1), f"{family} length, stated form"),
+                ("(n+1)*2^n-2", (n + 1) * two_n - 2, f"{family} length, derived form"),
+            ]
+            tail = [("avg_reads_le", "4", 4, f"{family} average reads")]
+        else:
+            if name == "doublespin":
+                family, length = "double-spin", n * two_n * (1 << g) - (n - 1) * two_n - 2
+                lengths = [("n*2^n*2^g-(n-1)*2^n-2", length, f"{family} length claim")]
+            else:
+                family, length = "wine", n * two_n * (1 << g) - (n + 1) * two_n + n
+                lengths = [("n*2^n*2^g-(n+1)*2^n+n", length, f"{family} length claim")]
+            efficiency = 1 - Fraction(4, 1 << g)
+            tail = [("efficiency_ge", "1-2^(2-g)", efficiency, f"{family} space efficiency")]
+        # enumeration contradicts every length claim but the lazy counter's
+        head = [("length_exact", *length, name != "lazy") for length in lengths]
+        writes, write_source = "3" if name == "wine" else reads, f"{family} worst writes"
+    else:
         raise UsageError(f"no bound catalog for counter {name!r}")
-    n = int(p["n"])
-    w = n.bit_length() - 1
-    if name == "lazy":
-        return [
-            _length_bound("2^(n+1)-2", (1 << (n + 1)) - 2, "lazy counter length"),
-            *_worst_pair("log2(n)+1", w + 1, "lazy counter"),
-            BoundSpec(
-                "avg_reads_le",
-                "3",
-                3,
-                "lazy counter average-read claim (measured value is log2(n)+1)",
-            ),
-        ]
-    if name == "spin":
-        return [
-            _length_bound(
-                "(n+1)*(2^n-1)",
-                (n + 1) * ((1 << n) - 1),
-                "spin counter length, stated form",
-                disputed=True,
-            ),
-            _length_bound(
-                "(n+1)*2^n-2",
-                (n + 1) * (1 << n) - 2,
-                "spin counter length, derived form",
-                disputed=True,
-            ),
-            *_worst_pair("log2(n)+2", w + 2, "spin counter"),
-            BoundSpec("avg_reads_le", "4", 4, "spin counter average reads"),
-        ]
-    g = int(p["g"])
-    if name == "doublespin":
-        return [
-            _length_bound(
-                "n*2^n*2^g-(n-1)*2^n-2",
-                n * (1 << n) * (1 << g) - (n - 1) * (1 << n) - 2,
-                "double-spin length claim",
-                disputed=True,
-            ),
-            *_worst_pair("g+log2(n)+1", g + w + 1, "double-spin"),
-            BoundSpec(
-                "efficiency_ge",
-                "1-2^(2-g)",
-                Fraction(1) - Fraction(1 << 2, 1 << g),
-                "double-spin space efficiency",
-            ),
-        ]
-    return [
-        _length_bound(
-            "n*2^n*2^g-(n+1)*2^n+n",
-            n * (1 << n) * (1 << g) - (n + 1) * (1 << n) + n,
-            "wine length claim",
-            disputed=True,
-        ),
-        BoundSpec("worst_reads_le", "g+log2(n)+1", g + w + 1, "wine worst reads"),
-        BoundSpec("worst_writes_le", "3", 3, "wine worst writes"),
-        BoundSpec("hamming_le", "3", 3, "quasi-Gray property"),
-        BoundSpec(
-            "efficiency_ge",
-            "1-2^(2-g)",
-            Fraction(1) - Fraction(1 << 2, 1 << g),
-            "wine space efficiency",
-        ),
+    c = counter.claimed_c
+    caps = [
+        ("worst_reads_le", reads, read_value, f"{family} worst reads"),
+        ("worst_writes_le", writes, c, write_source),
     ]
+    if writes != reads:
+        gray = "Gray property" if writes == "1" else "quasi-Gray property"
+        caps.append(("hamming_le", writes, c, gray))
+    return [BoundSpec(*entry) for entry in head + caps + tail]
 
 
 # the bound columns of table1, in the order table_bounds fills them

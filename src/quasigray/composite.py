@@ -51,7 +51,14 @@ class Layer:
 
 
 class LayerPlan:
-    """Ordered layers, innermost first (the innermost occupies bit 0 up)."""
+    """Ordered layers, innermost first (the innermost occupies bit 0 up).
+
+    ``claimed_writes`` is the planner's own claim on a step's writes, the
+    layer count unless the planner states one. ``verify`` never reads it:
+    the write cap that ``verify`` and the bound catalog check is the
+    counter's ``claimed_c``, the layer count. The two differ where the
+    claim is open, as for ``logstar_plan(2^17 + 26)``: 6 layers, claim 5.
+    """
 
     __slots__ = ("layers", "offsets", "total_dim", "claimed_writes")
 

@@ -267,9 +267,10 @@ def test_a_usage_error_reads_the_same_on_the_first_call_and_later():
 
 
 def test_repeated_calls_hold_the_same_memory():
-    # a call frees its own parser, so its peak does not depend on when the
-    # collector last ran; when it did, one command's peak moved by about
-    # 10 KiB from one call to the next
+    # the parser is built once per process, and each call's shallow copy of
+    # it is freed by reference counting, so a call's peak does not depend on
+    # when the collector last ran; when it did, one command's peak moved by
+    # about 10 KiB from one call to the next
     argv = ["cycle", "--counter", "rpgc", "--dim", "6", "--emit", "json"]
     peaks = []
     for _ in range(8):
