@@ -220,16 +220,18 @@ def table_bounds(
 
     Each cell comes from the last undisputed catalog entry of its kind.
     Space efficiency is ``efficiency_ge`` or else the exact length over
-    2^dim; average reads fall back to the worst-read bound. Two claims lie
+    2^dim, and a counter with neither undisputed, such as spin, is refused;
+    average reads fall back to the worst-read bound. Two claims lie
     outside the catalog: doublespin's O(1), and composite's two-layer
     average, which needs the inner code's measured average ``inner_avg``.
     """
     last = {b.kind: b for b in paper_bounds(counter) if not b.disputed}
     if "efficiency_ge" in last:
         efficiency = last["efficiency_ge"].value_decimal()
+    elif "length_exact" in last:
+        efficiency = decimal_str(Fraction(last["length_exact"].value, 1 << counter.dim))
     else:
-        length = last["length_exact"].value
-        efficiency = decimal_str(Fraction(length, 1 << counter.dim))
+        raise UsageError(f"no undisputed length or efficiency claim for counter {counter.name!r}")
     if counter.name == "composite":
         # 6*log2(d') + 2 + r/2^d' for outer layer dimension d': the outer
         # layer's own cost, the wrap test, and the rarely advanced inner

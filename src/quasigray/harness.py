@@ -55,9 +55,11 @@ class CycleReport:
     interpreted_steps: int
     # (counter, start state as an int): where the replay starts
     _source: tuple = field(compare=False, repr=False)
-    # the steps taken from macro leaves, _K at a time, and the step at which
-    # the run turned macro leaves off for missing too often, 0 if it did not
-    _macro: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    # the steps taken from macro leaves, the step at which the run turned
+    # macro leaves off for missing too often (0 if it did not), the number
+    # of blocks taken, of any size, and the largest taken while the run
+    # doubled blocks (0 if it never did)
+    _macro: Tuple[int, int, int, int] = field(default=(0, 0, 0, 0), compare=False, repr=False)
 
     def replay(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(reads, writes, hamming)`` for each of the run's
@@ -97,12 +99,22 @@ class CycleReport:
 # to the dimension; below 64 bits, only the dimension bounds a path
 _MAX_PATH = 64
 
-# the steps a macro leaf stands for
+# the steps a macro leaf of the first size stands for
 _K = 8
 
 # a run stops trying macro leaves once its misses outnumber its hits by more
 # than this
 _MISS_MARGIN = 64
+
+# a run doubles blocks from a save at which it has gone this many steps or
+# more for each block it missed; one that misses more often is too short or
+# too irregular for a doubled leaf to be taken as often as its build costs
+_STEPS_PER_MISS = 128
+
+# and builds doubled leaves only while it holds fewer than this many macro
+# leaves, of any size, for each block it missed, so that its macro tree
+# stays within a constant factor of the one blocks of _K steps alone grow
+_LEAVES_PER_MISS = 16
 
 
 def _graft(tree: array, snap: int, first: int, then: int, longest: int) -> int:
@@ -142,12 +154,12 @@ def _graft(tree: array, snap: int, first: int, then: int, longest: int) -> int:
     return slot
 
 
-def _block(tree: array, leaves: list, snap: int) -> Tuple[int, int, int, int, int]:
+def _block(tree: array, leaves: list, snap: int, shift: int) -> Tuple[int, tuple]:
     """The ``_K`` steps from state ``snap`` as the single-step tree takes
-    them, each down to a leaf: the positions their walks tested, the bits
-    they flip in all, ~ the bits any of them flips, and their summed reads
-    and writes. The caller passes a block whose steps all walked to a leaf
-    when it ran, so each walk repeated here ends at one too.
+    them, each down to a leaf: the positions their walks tested, and the
+    entries of their macro leaf, which has no continuation yet. The caller
+    passes a block whose steps all walked to a leaf when it ran, so each
+    walk repeated here ends at one too.
 
     Every leaf flips a fixed set of bits, and the states after each step
     of the block differ from those of ``snap`` by fixed masks. A state that
@@ -168,7 +180,53 @@ def _block(tree: array, leaves: list, snap: int) -> Tuple[int, int, int, int, in
         reads += r
         writes += w
         snap ^= flip
-    return path, snap ^ start, ~touched, reads, writes
+    return path, (snap ^ start, ~touched, reads << shift | writes, 0)
+
+
+def _walk(mtree: array, node: int, snap: int, walked: int) -> Tuple[int, int]:
+    """Walk state ``snap`` down ``mtree`` from ``node`` to a child that is no
+    node: return ``walked`` with the positions the walk tested, and the
+    slot that holds the child."""
+    while True:
+        pos = mtree[node]
+        walked |= 1 << pos
+        slot = node + 1 + ((snap >> pos) & 1)
+        node = mtree[slot]
+        if node <= 0:
+            return walked, slot
+
+
+def _hang(
+    mtree: array, mleaves, snap: int, a: int, walked: int, path: int, entries: tuple, longest: int
+) -> None:
+    """Add macro leaf ``entries`` to the continuation of leaf ``~a`` where
+    state ``snap``'s walk of it falls off, below a node for each position
+    of ``path`` that neither that walk nor ``walked``, the positions tested
+    on the way to leaf ``~a``, holds; a state that reaches the new leaf
+    agrees with ``snap`` on all of them. As in :func:`_graft`, no path of
+    ``longest`` positions or more is added."""
+    slot = -1
+    node = mleaves[a + 3]
+    if node:
+        walked, slot = _walk(mtree, node, snap, walked)
+    if (walked | path).bit_count() >= longest:
+        return
+    leaf = ~len(mleaves)
+    mleaves.extend(entries)
+    rest = path & ~walked
+    top = len(mtree) if rest else leaf
+    if slot < 0:
+        mleaves[a + 3] = top
+    else:
+        mtree[slot] = top
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        pos = low.bit_length() - 1
+        node = len(mtree)
+        mtree.extend((pos, 0, 0))
+        slot = node + 1 + ((snap >> pos) & 1)
+        mtree[slot] = len(mtree) if rest else leaf
 
 
 def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleReport:
@@ -191,28 +249,45 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     which holds the bits the step flips and its read and write counts. A
     step whose walk ends at a leaf applies it; any other step runs the
     counter under the ledger and grafts its path. Every leaf taken, of
-    either tree, adds its reads and writes to one pair of sums as it is
+    either tree, adds its reads and writes to the run's sums as it is
     taken, and the totals are those sums plus the ledger's. Memory is
     O(tree size), whatever the cycle length; :meth:`CycleReport.replay`
     recomputes per-step figures. The trees live only as long as this call.
 
-    A second tree, of the same layout, takes ``_K`` steps at a time. Its
-    walk starts at step counts that are multiples of ``_K``. Its leaf is
-    the block of ``_K`` steps from the state that grafted it, each of which
-    walked the single-step tree to a leaf: the path tests every position
-    those walks tested, and the leaf holds the bits the block flips, the
-    bits any of its steps flips, and its summed reads and writes. A state
-    that agrees with it on the path walks each step down the same path, so
-    the block does the same to it. A state inside the block differs from
-    the block's first state only in bits some step flips, so the block is
-    taken whole only if the start state and the state Brent's rule saved
-    each differ from its first state in some other bit, and only if it
-    ends by the cap. Otherwise its steps run singly, and every reported
-    field is what single steps give. No block crosses a save: a block
-    starts at a multiple of ``_K``, and the next save, a power of two above
-    it, is a multiple of ``_K`` too. Macro leaves are tried once the
-    single-step tree holds a leaf, and not after their misses outnumber
-    their hits by more than ``_MISS_MARGIN``.
+    A second tree, of the same layout, takes blocks of steps. Its walk
+    starts at step counts that are multiples of ``_K``, and its leaves
+    stand for ``_K`` steps: each is the block from the state that grafted
+    it, whose steps all walked the single-step tree to a leaf. Its path
+    tests every position those walks tested, and it holds the bits the
+    block flips, ~ the bits any of its steps flips, its reads and writes
+    packed in one int, and a continuation. A state that agrees with it on
+    the path walks each step down the same path, so the block does the
+    same to it.
+
+    A continuation doubles a leaf of m steps. It is a subtree of the same
+    array that tests only the positions that the next m steps' path adds,
+    and its leaves stand for 2m steps, each with a continuation of its own.
+    A block start at a multiple of 2m climbs from its leaf of m steps
+    through the continuation; where that misses, the leaf in hand is taken.
+    If the next block start takes a leaf of m steps too, a leaf of 2m is
+    built from the two: path P1 ∪ P2, flips F1 ^ F2, untouched bits
+    U1 & U2, summed counts, never re-run steps. It keeps its path, the
+    positions its block depends on. A run climbs and builds only from a
+    save at which it has gone ``_STEPS_PER_MISS`` steps or more for each
+    block it missed, and builds only while it holds fewer than
+    ``_LEAVES_PER_MISS`` macro leaves for each.
+
+    A state inside a block differs from the block's first state only in
+    bits some step flips, so a block is taken whole only if the start state
+    and the state Brent's rule saved each differ from its first state in
+    some other bit, and only if it ends by the cap; a climb stops below a
+    leaf that fails either test. A block of m steps starts at a multiple of
+    m, and the next save, a power of two above it, is a multiple of m too,
+    so no block crosses a save. Macro leaves are tried once the single-step
+    tree holds a leaf, and not after the blocks missed outnumber the
+    ``_K``-step blocks taken by more than ``_MISS_MARGIN``. Where no block
+    is taken, the steps run singly, and every reported field is what single
+    steps give.
 
     Brent's saves and block starts are both events at a step count,
     ``next_stop``, so a step that reaches neither pays one comparison, as
@@ -250,17 +325,31 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     tree = array("i")
     leaves: list = []
     leaf_ids: Dict[tuple, int] = {}
-    # the reads and writes of the leaves taken, of either tree
+    # the reads and writes of the single-step leaves taken
     reads = writes = 0
 
-    # the macro tree, whose leaves stand for _K steps from a block start;
-    # its leaf ~off holds entries off to off + 3 of mleaves: the bits the
-    # block flips, ~ the bits any of its steps flips, its reads and its
-    # writes. Below 64 bits they fit in signed 64-bit ints.
+    # the macro tree; its leaf ~off holds entries off to off + 3 of mleaves:
+    # the bits the block flips, ~ the bits any of its steps flips, its reads
+    # << shift | its writes, and its continuation: 0 while it has none, else
+    # a node of mtree (never node 0, the root) or a leaf. A leaf of more
+    # than _K steps holds its path at off + 4. The steps of a leaf write
+    # fewer than _MAX_PATH bits each, as their grafts test them, so the
+    # packed counts of a run's takes sum without carrying writes into reads.
+    # Below 64 bits and with shift below 55, a leaf of _K steps fits signed
+    # 64-bit ints.
     blocks = True
+    grow = False
     mtree = array("i")
-    mleaves = array("q") if dim < 64 else []
-    hits = misses = macro_stop = 0
+    shift = (_MAX_PATH * cap).bit_length()
+    mleaves = array("q") if dim < 64 and shift < 55 else []
+    # the packed counts of the macro leaves taken, the steps they stood
+    # for, their number and the largest taken while doubling
+    charged = taken = takes = top = 0
+    misses = macro_stop = 0
+    # the step at which a take follows one whose continuation missed, and
+    # that take's size, leaf and first state
+    pend_at = 0
+    pend = None
     # the state at which a block missing from mtree began, and the steps
     # the ledger had interpreted then
     recording = None
@@ -311,26 +400,28 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
             if steps == next_save:
                 saved = snap
                 next_save <<= 1
+                grow = steps >= _STEPS_PER_MISS * misses
             if blocks and tree and not steps % _K:
                 if recording is not None:
                     # a block that interpreted a step is left to a later
                     # miss, which its grafts may turn into tree hits
                     slot = -1
                     if ledger.steps == recorded_at:
-                        block = _block(tree, leaves, recording)
-                        slot = _graft(mtree, recording, block[0], 0, longest)
+                        path, entries = _block(tree, leaves, recording, shift)
+                        slot = _graft(mtree, recording, path, 0, longest)
                     if slot >= 0:
                         mtree[slot] = ~len(mleaves)
-                        mleaves.extend(block[1:])
+                        mleaves.extend(entries)
                     recording = None
                     misses += 1
-                    if misses - hits > _MISS_MARGIN:
+                    if _K * (misses - _MISS_MARGIN) > taken:
                         blocks = False
                         macro_stop = steps
                         mtree = mleaves = None
-                # the next save, a power of two above a multiple of _K, is
-                # at or past the block's end; a block is taken whole only
-                # where no state in it can equal the start or the saved state
+                # the next save, a power of two above a multiple of the
+                # block size, is at or past the block's end; a block is
+                # taken whole only where no state in it can equal the start
+                # or the saved state
                 while blocks and steps + _K <= cap:
                     leaf = 0
                     if mtree:
@@ -348,21 +439,67 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                     untouched = mleaves[off + 1]
                     if not (snap ^ snap0) & untouched or not (snap ^ saved) & untouched:
                         break
+                    size = _K
+                    if grow:
+                        # a block of 2 * size may start here if size <= room
+                        room = steps & -steps
+                        if room > cap - steps:
+                            room = cap - steps
+                        room >>= 1
+                        up = mleaves[off + 3]
+                        while size <= room:
+                            while up > 0:
+                                up = mtree[up + 1 + ((snap >> mtree[up]) & 1)]
+                            if not up:
+                                pend_at = steps + size
+                                pend = (size, off, snap)
+                                break
+                            untouched = mleaves[~up + 1]
+                            if not (snap ^ snap0) & untouched or not (snap ^ saved) & untouched:
+                                break
+                            off = ~up
+                            size <<= 1
+                            up = mleaves[off + 3]
+                        if (
+                            steps == pend_at
+                            and size == pend[0]
+                            and len(mleaves) < 4 * _LEAVES_PER_MISS * misses
+                        ):
+                            # double the missed leaf with the one in hand,
+                            # if their packed counts fit a signed 64-bit int
+                            _, a, first = pend
+                            if size == _K:
+                                first_path = _walk(mtree, 0, first, 0)[0]
+                                path = _walk(mtree, 0, snap, 0)[0]
+                            else:
+                                first_path, path = mleaves[a + 4], mleaves[off + 4]
+                            entries = (
+                                mleaves[a] ^ mleaves[off],
+                                mleaves[a + 1] & mleaves[off + 1],
+                                mleaves[a + 2] + mleaves[off + 2],
+                                0,
+                                first_path | path,
+                            )
+                            if not entries[2] >> 63:
+                                _hang(mtree, mleaves, first, a, first_path, path, entries, longest)
+                        if size > top:
+                            top = size
                     snap ^= mleaves[off]
-                    reads += mleaves[off + 2]
-                    writes += mleaves[off + 3]
-                    hits += 1
-                    steps += _K
+                    charged += mleaves[off + 2]
+                    taken += size
+                    takes += 1
+                    steps += size
                     if steps == next_save:
                         saved = snap
                         next_save <<= 1
+                        grow = steps >= _STEPS_PER_MISS * misses
             next_stop = next_save
             if blocks and tree:
                 next_stop = min(next_save, (steps | (_K - 1)) + 1)
         prev = snap
 
-    total_reads = ledger.total_reads + reads
-    total_writes = ledger.total_writes + writes
+    total_reads = ledger.total_reads + reads + (charged >> shift)
+    total_writes = ledger.total_writes + writes + (charged & ((1 << shift) - 1))
     last_state = BitState.from_int(prev, dim).to_text() if closed else None
     return CycleReport(
         counter=counter.name,
@@ -383,7 +520,7 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
         last_state=last_state,
         interpreted_steps=ledger.steps,
         _source=(counter, snap0),
-        _macro=(_K * hits, macro_stop),
+        _macro=(taken, macro_stop, takes, top),
     )
 
 

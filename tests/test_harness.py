@@ -23,6 +23,7 @@ from quasigray import (
     check_bounds,
     collect_metrics,
     enumerate_cycle,
+    harness,
     make_counter,
     paper_bounds,
     verify_quasi_gray,
@@ -132,6 +133,10 @@ REFUSALS = {
         "coefficient must",
     ),
     "unknown-bound-kind": (lambda: BoundSpec("nope", "1", 1, "nowhere"), "unknown bound kind"),
+    "spin-without-undisputed-length": (
+        lambda: table_bounds(make_counter("spin", n=4)),
+        "no undisputed length or efficiency claim",
+    ),
     "composite-without-inner-average": (
         lambda: table_bounds(make_counter("composite", layers=[3, 2], inner="rpgc")),
         "the composite average bound",
@@ -556,31 +561,56 @@ def test_tree_interprets_few_steps_where_paths_repeat(cycle_report):
     assert rpgc.interpreted_steps < rpgc.length // 3
 
 
+# block sizes from _K to 16 * _K, four doublings up
+_BLOCK_SIZES = tuple(_K << j for j in range(5))
+
+
 @pytest.mark.parametrize(
-    "name, kw, rank, last",
+    "name, kw, rank, end, sizes, climb",
     [
         # lazy n=8 closes at step 510, inside its 64th block
-        ("lazy", dict(n=8), None, None),
-        ("binary", dict(dim=10), random.Random(10).randrange(1 << 10), None),
+        ("lazy", dict(n=8), None, None, _BLOCK_SIZES, 2 * _K),
+        ("binary", dict(dim=10), random.Random(10).randrange(1 << 10), None, _BLOCK_SIZES, 2 * _K),
+        ("composite", dict(layers=(6, 4, 2)), None, None, _BLOCK_SIZES, 2 * _K),
+        # climbs four doublings up in its first 4,096 steps
+        ("binary", dict(dim=16), None, 4096, _BLOCK_SIZES, 16 * _K),
         # from 64 bits on, macro leaves are kept in a list, not an
-        # array("q"); these cycles are far too long to run whole, so the
-        # last block is fixed
-        ("lazy", dict(n=64), None, 1000),
-        ("binary", dict(dim=70), None, 1000),
-        ("composite", dict(layers=(60, 4, 2)), None, 1000),
+        # array("q"); these cycles are far too long to run whole, so they
+        # are cut at step 8,000
+        ("lazy", dict(n=64), None, 8000, (_K,), 2 * _K),
+        ("binary", dict(dim=70), None, 8000, (_K,), 2 * _K),
+        ("composite", dict(layers=(60, 4, 2)), None, 8000, (_K,), 2 * _K),
     ],
-    ids=["lazy-n=8", "binary-dim=10", "lazy-n=64", "binary-dim=70", "composite-60,4,2"],
+    ids=[
+        "lazy-n=8",
+        "binary-dim=10",
+        "composite-6,4,2",
+        "binary-dim=16",
+        "lazy-n=64",
+        "binary-dim=70",
+        "composite-60,4,2",
+    ],
 )
-def test_caps_next_to_block_boundaries_match_single_steps(name, kw, rank, last):
+def test_caps_next_to_block_boundaries_match_single_steps(
+    monkeypatch, name, kw, rank, end, sizes, climb
+):
+    # these runs miss blocks too often to double them on their own; with no
+    # floor on the steps a missed block, they double from their first save
+    monkeypatch.setattr(harness, "_STEPS_PER_MISS", 0)
     counter = make_counter(name, **kw)
     if rank is not None:
         counter = replace(counter, initial=BitState.from_int(rank, counter.dim))
-    if last is None:
-        last = enumerate_cycle(counter).length // _K
-    assert enumerate_cycle(counter, _K * (last + 1))._macro[0] > 0
-    for m in (1, 2, 3, 11, 20, 37, 50, last - 1, last, last + 1):
-        for cap in (_K * m - 1, _K * m, _K * m + 1):
-            assert _observed(enumerate_cycle(counter, cap)) == reference_cycle(counter, cap), cap
+    if end is None:
+        end = enumerate_cycle(counter).length
+    assert enumerate_cycle(counter, end + _K)._macro[3] >= climb
+    caps = set()
+    for size in sizes:
+        last = end // size
+        for m in {1, 2, 3, 5, 11, 20, 37, 50, last - 1, last, last + 1}:
+            if 0 < m <= last + 1:
+                caps.update((size * m - 1, size * m, size * m + 1))
+    for cap in sorted(caps):
+        assert _observed(enumerate_cycle(counter, cap)) == reference_cycle(counter, cap), cap
 
 
 def test_brgc_bypasses_macro_leaves():
@@ -588,7 +618,7 @@ def test_brgc_bypasses_macro_leaves():
     # empty and no block is ever tried
     counter = make_counter("brgc", dim=12)
     report = enumerate_cycle(counter)
-    assert report._macro == (0, 0)
+    assert report._macro == (0, 0, 0, 0)
     assert report.interpreted_steps == report.length
     assert _observed(report) == reference_cycle(counter, 1 << 26)
 
@@ -596,16 +626,24 @@ def test_brgc_bypasses_macro_leaves():
 @pytest.mark.parametrize("name, kw", [("lazy", dict(n=16)), ("doublespin", dict(n=16, g=2))])
 def test_long_lazy_cycles_take_their_steps_from_macro_leaves(cycle_report, name, kw):
     report = cycle_report(name, **kw)
-    steps, stop = report._macro
+    steps, stop = report._macro[:2]
     assert stop == 0
     assert 10 * steps >= 9 * report.length
+
+
+@pytest.mark.parametrize("name, kw", [("binary", dict(dim=20)), ("doublespin", dict(n=16, g=2))])
+def test_long_cycles_take_doubled_blocks(cycle_report, name, kw):
+    # blocks of _K steps alone would take taken // _K of them
+    taken, _, takes, top = cycle_report(name, **kw)._macro
+    assert 8 * takes <= taken // _K
+    assert top >= 1024 * _K
 
 
 def test_rpgc_turns_macro_leaves_off():
     # rpgc d=13 misses nearly every block; its misses outrun its hits by
     # the margin about 65 blocks after the first block start
     report = enumerate_cycle(make_counter("rpgc", dim=13))
-    steps, stop = report._macro
+    steps, stop = report._macro[:2]
     assert 0 < stop <= 1024
     assert 20 * steps <= report.length
 
@@ -618,6 +656,15 @@ def test_rpgc_turns_macro_leaves_off():
         # 2% above the 19.4 KiB of single steps alone: the macro tree is
         # freed when the run turns it off, before the single-step tree peaks
         ("rpgc", dict(dim=13), 19.4 * 1.02 * 1024),
+        # 10% above the blocks of _K steps alone: it misses too often to
+        # double its blocks
+        ("composite", dict(layers=(10, 3, 2)), 16768 * 1.1),
+        # 25% above the measured peaks of the doubled leaves: 5,635 B,
+        # 9,421 B and 95,723 B, where blocks of _K steps alone held 3,951 B,
+        # 4,525 B and 12,575 B
+        ("binary", dict(dim=14), 5635 * 1.25),
+        ("binary", dict(dim=20), 9421 * 1.25),
+        ("doublespin", dict(n=16, g=2), 95723 * 1.25),
     ],
 )
 def test_macro_leaves_keep_the_enumeration_peak(name, kw, limit):
@@ -696,14 +743,14 @@ def _dat_trees(draw):
     are at most dim + 1 tests deep. The tree comes from a drawn seed, which
     keeps each case to a few draws.
 
-    Most cases put a binary clock of 1-7 bits above the tree's dim bits.
+    Most cases put a binary clock of 1-9 bits above the tree's dim bits.
     The clock's wrap takes one step of a tree over all the bits, which may
-    read and write the clock too. Such runs are up to 128 times as long as
-    the tree's, long enough to walk macro leaves; the clock's low bits flip
-    several times inside a block, and the tree's writes to the clock shift
-    returns off the block boundaries."""
+    read and write the clock too. Such runs are up to 512 times as long as
+    the tree's, long enough to walk macro leaves and to double them; the
+    clock's low bits flip several times inside a block, and the tree's
+    writes to the clock shift returns off the block boundaries."""
     dim = draw(st.integers(min_value=2, max_value=9))
-    clock = draw(st.integers(min_value=0, max_value=7))
+    clock = draw(st.integers(min_value=0, max_value=9))
     width = dim + clock
     rng = random.Random(draw(st.integers(min_value=0, max_value=(1 << 32) - 1)))
     tree = _dat_node(rng, width, [rng.randint(0, 3 * dim)], dim + 1)
@@ -714,10 +761,14 @@ def _dat_trees(draw):
     return CounterSpec("dat", width, {"dim": width}, initial, step), cap
 
 
-def test_tree_walk_matches_interpreted_steps_on_random_trees():
+def test_tree_walk_matches_interpreted_steps_on_random_trees(monkeypatch):
     # each case also counts towards the paths of the run that a macro leaf
     # reaches: a return to the start or to the saved state inside a block,
-    # which the block's steps must take singly, and a cut by the cap
+    # which the block's steps must take singly, a cut by the cap, and a
+    # climb through continuations to blocks of 2 * _K steps or more. With
+    # no floor on the steps a missed block, runs double blocks from their
+    # first save
+    monkeypatch.setattr(harness, "_STEPS_PER_MISS", 0)
     seen = Counter()
 
     @settings(max_examples=3000, deadline=None)
@@ -729,17 +780,22 @@ def test_tree_walk_matches_interpreted_steps_on_random_trees():
         assert 0 < report.interpreted_steps <= report.length
         if report._macro[0]:
             inside = report.length % _K != 0
+            top = report._macro[3]
             seen["macro"] += 1
             seen["closed inside a block"] += report.closed and inside
             seen["rho inside a block"] += not report.distinct and inside
             seen["cut by the cap"] += not report.closed and report.distinct
+            seen["climbed"] += top > _K
+            seen["climbed, did not close"] += top > _K and not report.closed
+            seen["blocks of 4 * _K or more"] += top >= 4 * _K
 
     check()
-    # about 490 cases walk a macro leaf; of those about 30 return to the
-    # start and 80 to the saved state off a block boundary, and 45 are cut
-    # by the cap
-    assert seen["macro"] >= 300, seen
-    assert min(seen.values()) >= 10, seen
+    # about 790 cases walk a macro leaf; of those about 40 return to the
+    # start and 140 to the saved state off a block boundary, and 100 are
+    # cut by the cap; about 460 climb, 280 of them without closing, and
+    # 250 take blocks of 32 steps or more
+    assert seen["macro"] >= 500, seen
+    assert min(seen.values()) >= 20, seen
 
 
 def _flag_step(state, ledger):
