@@ -116,6 +116,48 @@ _STEPS_PER_MISS = 128
 # stays within a constant factor of the one blocks of _K steps alone grow
 _LEAVES_PER_MISS = 16
 
+# a stride table indexes this many bits at most, so that it stays within
+# 256 bytes
+_STRIDE_BITS = 6
+
+# a tree gets its first stride table once it holds this many nodes, and a
+# new one each time it has doubled since; the short runs that grow only
+# smaller trees would spend more on the build than the table saves them
+_STRIDE_FROM = 32
+
+
+def _walk(tree: array, node: int, snap: int, walked: int) -> Tuple[int, int]:
+    """Walk state ``snap`` down ``tree`` from ``node`` to a child that is no
+    node: return ``walked`` with the positions the walk tested, and the
+    slot that holds the child."""
+    while True:
+        pos = tree[node]
+        walked |= 1 << pos
+        slot = node + 1 + ((snap >> pos) & 1)
+        node = tree[slot]
+        if node <= 0:
+            return walked, slot
+
+
+def _stride(tree: array, dim: int) -> Tuple[array, int, int]:
+    """The stride table of ``tree``, the position ``lo`` its root tests and
+    the table's index mask. Entry i is the node at which a walk from the
+    root stops while it tests only positions lo to lo + k - 1, for a state
+    whose bits there are i: the first node that tests another position, or
+    whose child there is no node."""
+    lo = tree[0]
+    k = min(_STRIDE_BITS, dim - lo)
+    table = array("i", [0]) * (1 << k)
+    for i in range(1 << k):
+        node = 0
+        while 0 <= (at := tree[node] - lo) < k:
+            child = tree[node + 1 + ((i >> at) & 1)]
+            if child <= 0:
+                break
+            node = child
+        table[i] = node
+    return table, lo, (1 << k) - 1
+
 
 def _graft(tree: array, snap: int, first: int, then: int, longest: int) -> int:
     """Add a path for state ``snap`` below the node where its walk falls
@@ -129,16 +171,7 @@ def _graft(tree: array, snap: int, first: int, then: int, longest: int) -> int:
     state, which cannot recur before the cycle closes, and one of
     ``_MAX_PATH`` or more costs tree work in proportion to its length.
     """
-    walked = 0
-    slot = -1
-    node = 0
-    while tree:
-        pos = tree[node]
-        walked |= 1 << pos
-        slot = node + 1 + ((snap >> pos) & 1)
-        node = tree[slot]
-        if not node:
-            break
+    walked, slot = _walk(tree, 0, snap, 0) if tree else (0, -1)
     if not 0 < (walked | first | then).bit_count() < longest:
         return -1
     for rest in (first & ~walked, then & ~first & ~walked):
@@ -168,32 +201,13 @@ def _block(tree: array, leaves: list, snap: int, shift: int) -> Tuple[int, tuple
     path = touched = reads = writes = 0
     start = snap
     for _ in range(_K):
-        node = 0
-        while True:
-            pos = tree[node]
-            path |= 1 << pos
-            node = tree[node + 1 + ((snap >> pos) & 1)]
-            if node <= 0:
-                break
-        flip, r, w = leaves[~node]
+        path, slot = _walk(tree, 0, snap, path)
+        flip, r, w = leaves[~tree[slot]]
         touched |= flip
         reads += r
         writes += w
         snap ^= flip
     return path, (snap ^ start, ~touched, reads << shift | writes, 0)
-
-
-def _walk(mtree: array, node: int, snap: int, walked: int) -> Tuple[int, int]:
-    """Walk state ``snap`` down ``mtree`` from ``node`` to a child that is no
-    node: return ``walked`` with the positions the walk tested, and the
-    slot that holds the child."""
-    while True:
-        pos = mtree[node]
-        walked |= 1 << pos
-        slot = node + 1 + ((snap >> pos) & 1)
-        node = mtree[slot]
-        if node <= 0:
-            return walked, slot
 
 
 def _hang(
@@ -295,6 +309,15 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     from the previous one is grafted, and then blocks are taken from macro
     leaves while they can be; a miss leaves the next ``_K`` steps to
     single steps, which record that block.
+
+    Both trees' walks start at an entry of a stride table, the LC-trie's
+    level compression at the root: indexed by the state's ``_STRIDE_BITS``
+    bits from the position the root tests, an entry is the node a walk from
+    the root reaches while it tests only those bits. Grafts add nodes only
+    below, so an entry stays an ancestor of where that walk ends: a table
+    never goes wrong, only shallow. It is the root alone until its tree
+    holds ``_STRIDE_FROM`` nodes, and built anew each time the tree has
+    doubled, so the builds cost O(tree size).
     """
     if cap is None:
         cap = DEFAULT_CYCLE_CAP
@@ -323,6 +346,10 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     prev = snap0
 
     tree = array("i")
+    # the stride tables of the two trees, the positions their indexes start
+    # at, their masks and the tree lengths at which they are next rebuilt
+    table, lo, mask = mtable, mlo, mmask = array("i", [0]), 0, 0
+    restride = mrestride = 3 * _STRIDE_FROM
     leaves: list = []
     leaf_ids: Dict[tuple, int] = {}
     # the reads and writes of the single-step leaves taken
@@ -358,7 +385,7 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     child = 0  # only a walk assigns it, so it stays 0 while the tree is empty
     while steps < cap:
         if tree:
-            node = 0
+            node = table[(snap >> lo) & mask]
             while True:
                 child = tree[node + 1 + ((snap >> tree[node]) & 1)]
                 if child <= 0:
@@ -383,6 +410,10 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                     if i == len(leaves):
                         leaves.append(leaf)
                     tree[slot] = ~i
+                    if len(tree) >= restride:
+                        table = None
+                        table, lo, mask = _stride(tree, dim)
+                        restride = 2 * len(tree)
             close_step()
             # a leaf changes as many bits as the step that grafted it, so
             # the interpreted steps hold the maximum
@@ -412,12 +443,16 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                     if slot >= 0:
                         mtree[slot] = ~len(mleaves)
                         mleaves.extend(entries)
+                        if len(mtree) >= mrestride:
+                            mtable = None
+                            mtable, mlo, mmask = _stride(mtree, dim)
+                            mrestride = 2 * len(mtree)
                     recording = None
                     misses += 1
                     if _K * (misses - _MISS_MARGIN) > taken:
                         blocks = False
                         macro_stop = steps
-                        mtree = mleaves = None
+                        mtree = mleaves = mtable = None
                 # the next save, a power of two above a multiple of the
                 # block size, is at or past the block's end; a block is
                 # taken whole only where no state in it can equal the start
@@ -425,7 +460,7 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                 while blocks and steps + _K <= cap:
                     leaf = 0
                     if mtree:
-                        node = 0
+                        node = mtable[(snap >> mlo) & mmask]
                         while True:
                             leaf = mtree[node + 1 + ((snap >> mtree[node]) & 1)]
                             if leaf <= 0:

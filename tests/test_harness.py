@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import random
+import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import fields, replace
 from decimal import Decimal, localcontext
@@ -12,7 +14,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasigray import (
@@ -30,8 +32,12 @@ from quasigray import (
 )
 from quasigray.harness import (
     _K,
+    _STRIDE_BITS,
     DECIMAL_DIGITS,
     DEFAULT_CYCLE_CAP,
+    _graft,
+    _stride,
+    _walk,
     decimal_str,
     make_binary_counter,
     standard_binary_step,
@@ -764,21 +770,77 @@ def _dat_trees(draw):
     return CounterSpec("dat", width, {"dim": width}, initial, step), cap
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=(1 << 32) - 1),
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=0, max_value=80),
+)
+def test_stride_tables_stand_for_the_walk_from_the_root(dim, seed, before, after):
+    # states and read masks come from a drawn seed, which keeps each case
+    # to a few draws
+    rng = random.Random(seed)
+    tree = array("i")
+
+    def grow(count):
+        # graft the states whose walks miss, each leaf standing for itself
+        for _ in range(count):
+            snap, first, then = (rng.getrandbits(dim) for _ in range(3))
+            if not tree or tree[_walk(tree, 0, snap, 0)[1]] == 0:
+                slot = _graft(tree, snap, first, then, dim)
+                if slot >= 0:
+                    tree[slot] = ~snap
+
+    grow(before)
+    assume(tree)
+    table, lo, mask = _stride(tree, dim)
+    k = mask.bit_length()
+    assert len(table) == 1 << k <= 1 << _STRIDE_BITS and lo == tree[0] and lo + k <= dim
+    for i, entry in enumerate(table):
+        # the first node on the root walk of the window's bits i that tests
+        # a position outside the window, or whose child there is no node
+        node = 0
+        while 0 <= tree[node] - lo < k and tree[node + 1 + ((i >> (tree[node] - lo)) & 1)] > 0:
+            node = tree[node + 1 + ((i >> (tree[node] - lo)) & 1)]
+        assert entry == node
+    # grafts after the build leave each entry on its states' walks
+    grow(after)
+    for snap in (rng.getrandbits(dim) for _ in range(20)):
+        assert _walk(tree, table[(snap >> lo) & mask], snap, 0)[1] == _walk(tree, 0, snap, 0)[1]
+
+
 def test_tree_walk_matches_interpreted_steps_on_random_trees(monkeypatch):
     # each case also counts towards the paths of the run that a macro leaf
     # reaches: a return to the start or to the saved state inside a block,
     # which the block's steps must take singly, a cut by the cap, and a
     # climb through continuations to blocks of 2 * _K steps or more. With
     # no floor on the steps a missed block, runs double blocks from their
-    # first save
+    # first save. Trees get stride tables from 2 nodes on, so that the
+    # small trees of these runs build them and rebuild them as they grow
     monkeypatch.setattr(harness, "_STEPS_PER_MISS", 0)
+    monkeypatch.setattr(harness, "_STRIDE_FROM", 2)
     seen = Counter()
+    # the runs that built a stride table of 2 or more bits, of each tree
+    strided = Counter()
+    built = set()
+    stride = harness._stride
+
+    def spy(tree, dim):
+        table = stride(tree, dim)
+        if len(table[0]) >= 4:
+            built.add("macro" if tree is sys._getframe(1).f_locals["mtree"] else "single-step")
+        return table
+
+    monkeypatch.setattr(harness, "_stride", spy)
 
     @settings(max_examples=3000, deadline=None)
     @given(_dat_trees())
     def check(case):
         counter, cap = case
+        built.clear()
         report = enumerate_cycle(counter, cap)
+        strided.update(built)
         assert _observed(report) == reference_cycle(counter, cap or DEFAULT_CYCLE_CAP)
         assert 0 < report.interpreted_steps <= report.length
         if report._macro[0]:
@@ -799,6 +861,8 @@ def test_tree_walk_matches_interpreted_steps_on_random_trees(monkeypatch):
     # 250 take blocks of 32 steps or more
     assert seen["macro"] >= 500, seen
     assert min(seen.values()) >= 20, seen
+    # about 2,200 runs build a single-step table and 930 a macro one
+    assert min(strided["single-step"], strided["macro"]) >= 400, strided
 
 
 def _flag_step(state, ledger):
