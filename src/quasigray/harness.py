@@ -144,9 +144,10 @@ def _stride(tree: array, dim: int) -> Tuple[array, int, int]:
     the table's index mask. Entry i is the node at which a walk from the
     root stops while it tests only positions lo to lo + k - 1, for a state
     whose bits there are i: the first node that tests another position, or
-    whose child there is no node."""
+    whose child there is no node. Its 2^k entries are at most half the
+    tree's nodes, so that a small tree's walks repay its table's build."""
     lo = tree[0]
-    k = min(_STRIDE_BITS, dim - lo)
+    k = min(_STRIDE_BITS, (len(tree) // 3).bit_length() - 2, dim - lo)
     table = array("i", [0]) * (1 << k)
     for i in range(1 << k):
         node = 0

@@ -774,7 +774,7 @@ def _dat_trees(draw):
 @given(
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=0, max_value=(1 << 32) - 1),
-    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=1, max_value=200),
     st.integers(min_value=0, max_value=80),
 )
 def test_stride_tables_stand_for_the_walk_from_the_root(dim, seed, before, after):
@@ -793,10 +793,11 @@ def test_stride_tables_stand_for_the_walk_from_the_root(dim, seed, before, after
                     tree[slot] = ~snap
 
     grow(before)
-    assume(tree)
+    assume(len(tree) >= 6)
     table, lo, mask = _stride(tree, dim)
     k = mask.bit_length()
-    assert len(table) == 1 << k <= 1 << _STRIDE_BITS and lo == tree[0] and lo + k <= dim
+    assert len(table) == 1 << k <= min(1 << _STRIDE_BITS, len(tree) // 6) and lo + k <= dim
+    assert lo == tree[0]
     for i, entry in enumerate(table):
         # the first node on the root walk of the window's bits i that tests
         # a position outside the window, or whose child there is no node
@@ -861,8 +862,8 @@ def test_tree_walk_matches_interpreted_steps_on_random_trees(monkeypatch):
     # 250 take blocks of 32 steps or more
     assert seen["macro"] >= 500, seen
     assert min(seen.values()) >= 20, seen
-    # about 2,200 runs build a single-step table and 930 a macro one
-    assert min(strided["single-step"], strided["macro"]) >= 400, strided
+    # about 540 runs build such a single-step table and 470 a macro one
+    assert min(strided["single-step"], strided["macro"]) >= 200, strided
 
 
 def _flag_step(state, ledger):
