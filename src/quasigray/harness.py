@@ -311,14 +311,12 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
     leaves while they can be; a miss leaves the next ``_K`` steps to
     single steps, which record that block.
 
-    Both trees' walks start at an entry of a stride table, the LC-trie's
-    level compression at the root: indexed by the state's ``_STRIDE_BITS``
-    bits from the position the root tests, an entry is the node a walk from
-    the root reaches while it tests only those bits. Grafts add nodes only
-    below, so an entry stays an ancestor of where that walk ends: a table
-    never goes wrong, only shallow. It is the root alone until its tree
-    holds ``_STRIDE_FROM`` nodes, and built anew each time the tree has
-    doubled, so the builds cost O(tree size).
+    Both trees' walks start at an entry of a stride table (:func:`_stride`,
+    the LC-trie's level compression at the root): the root alone until the
+    tree holds ``_STRIDE_FROM`` nodes, then built anew each time the tree
+    has doubled, so builds cost O(tree size). Grafts add nodes only below,
+    so an entry stays an ancestor of where a walk from the root ends: a
+    table never goes wrong, only shallow.
     """
     if cap is None:
         cap = DEFAULT_CYCLE_CAP
