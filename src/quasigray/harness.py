@@ -410,6 +410,8 @@ def enumerate_cycle(counter: CounterSpec, cap: Optional[int] = None) -> CycleRep
                         leaves.append(leaf)
                     tree[slot] = ~i
                     if len(tree) >= restride:
+                        # drop the old table first, so that two never
+                        # count towards the run's peak together
                         table = None
                         table, lo, mask = _stride(tree, dim)
                         restride = 2 * len(tree)
