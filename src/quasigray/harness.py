@@ -121,9 +121,9 @@ _LEAVES_PER_MISS = 16
 _STRIDE_BITS = 6
 
 # a tree gets its first stride table once it holds this many nodes, and a
-# new one each time it has doubled since; the short runs that grow only
-# smaller trees would spend more on the build than the table saves them
-_STRIDE_FROM = 32
+# new one each time it has doubled since, so that the builds cost time in
+# proportion to the final tree
+_STRIDE_FROM = 8
 
 
 def _walk(tree: array, node: int, snap: int, walked: int) -> Tuple[int, int]:
