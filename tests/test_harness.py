@@ -662,9 +662,6 @@ def test_rpgc_turns_macro_leaves_off():
         # 2% above the 19.4 KiB of single steps alone: the macro tree is
         # freed when the run turns it off, before the single-step tree peaks
         ("rpgc", dict(dim=13), 19.4 * 1.02 * 1024),
-        # 1 KiB above single steps alone, which peak at 7,164 B and 15,269 B
-        ("rpgc", dict(dim=12), 7164 + 1024),
-        ("rpgc", dict(dim=16), 15269 + 1024),
         # 10% above the blocks of _K steps alone: it misses too often to
         # double its blocks
         ("composite", dict(layers=(10, 3, 2)), 16768 * 1.1),
@@ -674,6 +671,9 @@ def test_rpgc_turns_macro_leaves_off():
         ("binary", dict(dim=14), 5635 * 1.25),
         ("binary", dict(dim=20), 9421 * 1.25),
         ("doublespin", dict(n=16, g=2), 95723 * 1.25),
+        # 1 KiB above single steps alone, which peak at 7,164 B and 15,269 B
+        ("rpgc", dict(dim=12), 7164 + 1024),
+        ("rpgc", dict(dim=16), 15269 + 1024),
     ],
 )
 def test_macro_leaves_keep_the_enumeration_peak(name, kw, limit):
